@@ -1,7 +1,8 @@
 // Roofline microbenchmark + gate for the SIMD microkernel layer
-// (src/nn/simd.hpp): the four dense hot-path kernels — matmul (NN),
-// matmul_tn, matmul_nt, and the fused add_row_relu — timed per ISA tier
-// against the machine's measured roofline.
+// (src/nn/simd.hpp): the dense hot-path kernels — matmul (NN),
+// matmul_tn, matmul_nt, the one-hot matmul_zero_skip, the Adam step and
+// the fused add_row_relu — timed per ISA tier against the machine's
+// measured roofline.
 //
 // Method (HPC measurement discipline, not google-benchmark vibes):
 //  - every kernel arm runs `warmup` untimed reps, then 30+ timed reps
@@ -41,6 +42,7 @@
 #include "core/lightnas.hpp"
 #include "hw/cost_model.hpp"
 #include "io/json.hpp"
+#include "nn/optim.hpp"
 #include "nn/pool.hpp"
 #include "nn/simd.hpp"
 #include "nn/tensor.hpp"
@@ -345,6 +347,30 @@ int main(int argc, char** argv) {
                [&] { (void)nn::matmul_tn(a, b); });
   bench_kernel("matmul_nt", 2.0 * d * d * d, 3.0 * d * d * 4.0,
                [&] { (void)nn::matmul_nt(a, b); });
+  {
+    // One nonzero in each group of 7 columns, the density of the latency
+    // predictor's one-hot encodings; flops are the products formed.
+    nn::Tensor onehot = nn::Tensor::zeros(dim, dim);
+    util::Rng rng(5);
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t c = 0; c + 7 <= dim; c += 7) {
+        onehot.at(r, c + rng.uniform_index(7)) = 1.0f;
+      }
+    }
+    const double nonzero = static_cast<double>(dim * (dim / 7));
+    bench_kernel("matmul_zero_skip", 2.0 * nonzero * d, 3.0 * d * d * 4.0,
+                 [&] { (void)nn::matmul_zero_skip(onehot, b); });
+  }
+  {
+    // Adam over dim*dim parameters: ~13 double ops per element; reads w,
+    // m, v, g and writes w, m, v.
+    nn::VarPtr param = nn::make_leaf(random_tensor(dim, dim, 6));
+    param->ensure_grad();
+    param->grad = random_tensor(dim, dim, 7);
+    nn::Adam adam({param}, 1e-3, 0.9, 0.999, 1e-8, 1e-4);
+    bench_kernel("adam", 13.0 * d * d, 7.0 * d * d * 4.0,
+                 [&] { adam.step(); });
+  }
   {
     const double rr = static_cast<double>(relu_rows);
     const double rc = static_cast<double>(relu_cols);

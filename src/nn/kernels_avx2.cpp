@@ -203,57 +203,92 @@ namespace {
 /// Vectorizing the dot along k would split one element's chain across
 /// lanes (a horizontal reduction — different rounding order), so like
 /// the NN/TN kernels this vectorizes across output COLUMNS: lane l owns
-/// the full ascending-p chain of C(i, j + l), fed by a manual 8-way pack
-/// of b[(j+l)*k + p]. The pack costs 8 scalar loads per p, but one pack
-/// serves all 4 rows of the A micro-tile (32 mul+adds), and the 8 B-row
-/// streams advance sequentially so the loads stay in cache. The n % 8
-/// column tail runs the scalar dot loop — identical chain, so identity
-/// holds without a masked pack.
+/// the full ascending-p chain of C(i, j + l). The B rows of one panel of
+/// kW columns are first packed p-major into a (k-tile x kW) buffer, so
+/// the inner loop reads B as aligned vectors, exactly like the NN
+/// kernel's B row: one pack per panel and k-tile serves every row of
+/// [r0, r1). Between k-tiles the accumulators round-trip through C,
+/// which changes no chain.
+constexpr std::size_t kNtPanelK = 256;
+
+/// Rows [i, i+ir) of one packed panel's k-tile [pb, pe), ir in 1..4.
+template <bool kFma, std::size_t kVecs>
+inline void nt_tile(const float* a, const float* panel, float* c,
+                    std::size_t k, std::size_t n, std::size_t i,
+                    std::size_t ir, std::size_t j, std::size_t pb,
+                    std::size_t pe) {
+  constexpr std::size_t kW = 8 * kVecs;
+  __m256 acc[4][kVecs];
+  for (std::size_t r = 0; r < ir; ++r) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      acc[r][v] = pb == 0 ? _mm256_setzero_ps()
+                          : _mm256_loadu_ps(c + (i + r) * n + j + 8 * v);
+    }
+  }
+  for (std::size_t p = pb; p < pe; ++p) {
+    __m256 bv[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      bv[v] = _mm256_load_ps(panel + (p - pb) * kW + 8 * v);
+    }
+    for (std::size_t r = 0; r < ir; ++r) {
+      const __m256 as = _mm256_set1_ps(a[(i + r) * k + p]);
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        acc[r][v] = accumulate<kFma>(acc[r][v], as, bv[v]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < ir; ++r) {
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      _mm256_storeu_ps(c + (i + r) * n + j + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+/// Columns [j, j + 8 * kVecs) of rows [r0, r1), panel by k-tile.
+template <bool kFma, std::size_t kVecs>
+void nt_panel(const float* a, const float* b, float* c, std::size_t k,
+              std::size_t n, std::size_t r0, std::size_t r1, std::size_t j,
+              float* panel) {
+  constexpr std::size_t kW = 8 * kVecs;
+  for (std::size_t pb = 0; pb < k; pb += kNtPanelK) {
+    const std::size_t pe = std::min(pb + kNtPanelK, k);
+    for (std::size_t l = 0; l < kW; ++l) {
+      const float* brow = b + (j + l) * k;
+      for (std::size_t p = pb; p < pe; ++p) panel[(p - pb) * kW + l] = brow[p];
+    }
+    std::size_t i = r0;
+    for (; i + 4 <= r1; i += 4) {
+      nt_tile<kFma, kVecs>(a, panel, c, k, n, i, 4, j, pb, pe);
+    }
+    for (; i < r1; ++i) {
+      nt_tile<kFma, kVecs>(a, panel, c, k, n, i, 1, j, pb, pe);
+    }
+  }
+}
+
 template <bool kFma>
 void nt_rows(const float* a, const float* b, float* c, std::size_t k,
              std::size_t n, std::size_t r0, std::size_t r1) {
-  const std::size_t n8 = n - n % 8;
-  std::size_t i = r0;
-  for (; i + 4 <= r1; i += 4) {
-    for (std::size_t j = 0; j < n8; j += 8) {
-      __m256 acc[4];
-      for (auto& v : acc) v = _mm256_setzero_ps();
-      const float* brows = b + j * k;
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 bv = _mm256_set_ps(
-            brows[7 * k + p], brows[6 * k + p], brows[5 * k + p],
-            brows[4 * k + p], brows[3 * k + p], brows[2 * k + p],
-            brows[1 * k + p], brows[0 * k + p]);
-        for (std::size_t r = 0; r < 4; ++r) {
-          const __m256 as = _mm256_set1_ps(a[(i + r) * k + p]);
-          acc[r] = accumulate<kFma>(acc[r], as, bv);
-        }
-      }
-      for (std::size_t r = 0; r < 4; ++r) {
-        _mm256_storeu_ps(c + (i + r) * n + j, acc[r]);
-      }
-    }
+  if (k == 0) {  // no k-tiles: every dot is its initial 0.0f
+    std::fill(c + r0 * n, c + r1 * n, 0.0f);
+    return;
   }
-  for (; i < r1; ++i) {
-    for (std::size_t j = 0; j < n8; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      const float* brows = b + j * k;
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 bv = _mm256_set_ps(
-            brows[7 * k + p], brows[6 * k + p], brows[5 * k + p],
-            brows[4 * k + p], brows[3 * k + p], brows[2 * k + p],
-            brows[1 * k + p], brows[0 * k + p]);
-        acc = accumulate<kFma>(acc, _mm256_set1_ps(a[i * k + p]), bv);
-      }
-      _mm256_storeu_ps(c + i * n + j, acc);
-    }
+  alignas(32) float panel[kNtPanelK * 16];
+  const std::size_t n8 = n - n % 8;
+  const std::size_t n16 = n - n % 16;
+  std::size_t j = 0;
+  for (; j < n16; j += 16) {
+    nt_panel<kFma, 2>(a, b, c, k, n, r0, r1, j, panel);
+  }
+  for (; j < n8; j += 8) {
+    nt_panel<kFma, 1>(a, b, c, k, n, r0, r1, j, panel);
   }
   // Column tail: plain dots (each its own ascending-p chain). With fma,
   // std::fma keeps the tail on the same single-rounding contract.
-  for (i = r0; i < r1; ++i) {
+  for (std::size_t i = r0; i < r1; ++i) {
     const float* arow = a + i * k;
-    for (std::size_t j = n8; j < n; ++j) {
-      const float* brow = b + j * k;
+    for (std::size_t col = n8; col < n; ++col) {
+      const float* brow = b + col * k;
       float dot = 0.0f;
       if constexpr (kFma) {
         for (std::size_t p = 0; p < k; ++p) {
@@ -262,12 +297,129 @@ void nt_rows(const float* a, const float* b, float* c, std::size_t k,
       } else {
         for (std::size_t p = 0; p < k; ++p) dot += arow[p] * brow[p];
       }
-      c[i * n + j] = dot;
+      c[i * n + col] = dot;
     }
   }
 }
 
+/// 8 * kVecs columns of one C row over the gathered nonzeros of a k-tile.
+/// Eight independent chains (kVecs = 8) keep the adds' latency hidden.
+template <std::size_t kVecs>
+inline void skip_tile(float* crow, const float* b, std::size_t n,
+                      const std::size_t* idx, const float* val,
+                      std::size_t count, bool first) {
+  __m256 acc[kVecs];
+  for (std::size_t t = 0; t < kVecs; ++t) {
+    acc[t] = first ? _mm256_setzero_ps() : _mm256_loadu_ps(crow + 8 * t);
+  }
+  for (std::size_t q = 0; q < count; ++q) {
+    const __m256 as = _mm256_set1_ps(val[q]);
+    const float* brow = b + idx[q] * n;
+    for (std::size_t t = 0; t < kVecs; ++t) {
+      acc[t] = accumulate<false>(acc[t], as, _mm256_loadu_ps(brow + 8 * t));
+    }
+  }
+  for (std::size_t t = 0; t < kVecs; ++t) {
+    _mm256_storeu_ps(crow + 8 * t, acc[t]);
+  }
+}
+
 }  // namespace
+
+void matmul_zero_skip_rows_avx2(const float* a, std::size_t row_stride,
+                                std::size_t col_stride, const float* b,
+                                float* c, std::size_t k, std::size_t n,
+                                std::size_t r0, std::size_t r1) {
+  // Per row: gather the nonzero A entries of a k-tile (ascending p), then
+  // run each column tile's chains over just those B rows. Separate
+  // mul+add only — the zero-skip is exact for the non-FMA chain alone.
+  constexpr std::size_t kChunk = 256;
+  std::size_t idx[kChunk];
+  float val[kChunk];
+  const std::size_t rem = n % 8;
+  const std::size_t n8 = n - rem;
+  const std::size_t n64 = n - n % 64;
+  const __m256i mask = rem != 0 ? tail_mask(rem) : _mm256_setzero_si256();
+  for (std::size_t i = r0; i < r1; ++i) {
+    const float* arow = a + i * row_stride;
+    float* crow = c + i * n;
+    for (std::size_t pb = 0; pb < k; pb += kChunk) {
+      const std::size_t pe = std::min(pb + kChunk, k);
+      // Branch-free gather: a one-hot row's nonzeros sit at positions a
+      // branch predictor cannot learn.
+      std::size_t count = 0;
+      for (std::size_t p = pb; p < pe; ++p) {
+        const float av = arow[p * col_stride];
+        idx[count] = p;
+        val[count] = av;
+        count += av != 0.0f;
+      }
+      const bool first = pb == 0;
+      if (!first && count == 0) continue;
+      std::size_t j = 0;
+      for (; j < n64; j += 64) {
+        skip_tile<8>(crow + j, b + j, n, idx, val, count, first);
+      }
+      for (; j < n8; j += 8) {
+        skip_tile<1>(crow + j, b + j, n, idx, val, count, first);
+      }
+      if (rem != 0) {
+        __m256 acc = first ? _mm256_setzero_ps()
+                           : _mm256_maskload_ps(crow + j, mask);
+        for (std::size_t q = 0; q < count; ++q) {
+          acc = accumulate<false>(acc, _mm256_set1_ps(val[q]),
+                                  _mm256_maskload_ps(b + idx[q] * n + j,
+                                                     mask));
+        }
+        _mm256_maskstore_ps(crow + j, mask, acc);
+      }
+    }
+  }
+}
+
+std::size_t adam_update_avx2(float* w, float* m, float* v, const float* g,
+                             std::size_t n, const AdamStep& step) {
+  // The scalar step, four lanes at a time, op for op:
+  //   g' = g + wd * w                       (only when wd != 0)
+  //   m  = float(b1 * m + (1 - b1) * g')
+  //   v  = float(b2 * v + ((1 - b2) * g') * g')
+  //   w -= float((lr * (m / bc1)) / (sqrt(v / bc2) + eps))
+  // float <-> double conversions are exact widening / round-to-nearest
+  // narrowing, the same as the scalar casts.
+  const __m256d b1 = _mm256_set1_pd(step.beta1);
+  const __m256d b1c = _mm256_set1_pd(1.0 - step.beta1);
+  const __m256d b2 = _mm256_set1_pd(step.beta2);
+  const __m256d b2c = _mm256_set1_pd(1.0 - step.beta2);
+  const __m256d bc1 = _mm256_set1_pd(step.bc1);
+  const __m256d bc2 = _mm256_set1_pd(step.bc2);
+  const __m256d lr = _mm256_set1_pd(step.lr);
+  const __m256d eps = _mm256_set1_pd(step.eps);
+  const __m256d wd = _mm256_set1_pd(step.weight_decay);
+  const bool use_wd = step.weight_decay != 0.0;
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m128 wf = _mm_loadu_ps(w + j);
+    __m256d gd = _mm256_cvtps_pd(_mm_loadu_ps(g + j));
+    if (use_wd) {
+      gd = _mm256_add_pd(gd, _mm256_mul_pd(wd, _mm256_cvtps_pd(wf)));
+    }
+    const __m128 mf = _mm256_cvtpd_ps(
+        _mm256_add_pd(_mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + j))),
+                      _mm256_mul_pd(b1c, gd)));
+    const __m128 vf = _mm256_cvtpd_ps(
+        _mm256_add_pd(_mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + j))),
+                      _mm256_mul_pd(_mm256_mul_pd(b2c, gd), gd)));
+    _mm_storeu_ps(m + j, mf);
+    _mm_storeu_ps(v + j, vf);
+    const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(mf), bc1);
+    const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(vf), bc2);
+    const __m256d delta =
+        _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                      _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm_storeu_ps(w + j, _mm_sub_ps(wf, _mm256_cvtpd_ps(delta)));
+  }
+  return j;
+}
 
 void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
                          std::size_t k, std::size_t n, std::size_t r0,

@@ -14,11 +14,15 @@ namespace {
 // Var construction (node recycling + tape logging) lives in
 // nn::make_node — see autograd.hpp.
 
+/// Whether a backward closure computes `p`'s gradient at all. A Var that
+/// tracks none — a constant, or a node computed from constants only —
+/// has no backward_fn and nobody reads its grad, so its gradient is
+/// never formed (the plan compiler's `needs` set makes the same cut).
+bool needs_grad(const VarPtr& p) { return p->requires_grad; }
+
+/// p->grad += g. Closures that compute `g` check needs_grad first.
 void accumulate(const VarPtr& p, const Tensor& g) {
-  if (!p->requires_grad && !p->backward_fn && p->parents.empty()) {
-    // Pure constant leaf: skip the work.
-    return;
-  }
+  if (!needs_grad(p)) return;
   p->ensure_grad();
   p->grad.add_inplace(g);
 }
@@ -29,11 +33,20 @@ VarPtr matmul(const VarPtr& a, const VarPtr& b) {
   LIGHTNAS_CHECK(a->value.cols() == b->value.rows(),
                  "ops::matmul: " + a->value.shape_string() + " * " +
                      b->value.shape_string());
-  Tensor out = lightnas::nn::matmul(a->value, b->value);
-  VarPtr node = make_node(std::move(out), {a, b}, [a, b](Var& node) {
+  // A constant left operand is an input batch — for the latency
+  // predictor a one-hot encoding — so both products that read it take
+  // the zero-skip kernels, which fall back to dense when it is not
+  // sparse (bit-identical either way).
+  const bool input = !needs_grad(a);
+  Tensor out = input ? matmul_zero_skip(a->value, b->value)
+                     : lightnas::nn::matmul(a->value, b->value);
+  VarPtr node = make_node(std::move(out), {a, b}, [a, b, input](Var& node) {
     // dL/dA = dL/dC * B^T ; dL/dB = A^T * dL/dC
-    accumulate(a, matmul_nt(node.grad, b->value));
-    accumulate(b, matmul_tn(a->value, node.grad));
+    if (needs_grad(a)) accumulate(a, matmul_nt(node.grad, b->value));
+    if (needs_grad(b)) {
+      accumulate(b, input ? matmul_tn_zero_skip(a->value, node.grad)
+                          : matmul_tn(a->value, node.grad));
+    }
   });
   if (plan::detail::recording_active()) {
     plan::detail::record_op(node, plan::OpKind::kMatmul, a, &b, 0.0);
@@ -65,6 +78,7 @@ VarPtr sub(const VarPtr& a, const VarPtr& b) {
   out.sub_inplace(b->value);
   return make_node(std::move(out), {a, b}, [a, b](Var& node) {
     accumulate(a, node.grad);
+    if (!needs_grad(b)) return;
     Tensor neg = node.grad;
     neg.scale_inplace(-1.0f);
     accumulate(b, neg);
@@ -78,12 +92,16 @@ VarPtr mul(const VarPtr& a, const VarPtr& b) {
   Tensor out = a->value;
   for (std::size_t i = 0; i < out.size(); ++i) out[i] *= b->value[i];
   return make_node(std::move(out), {a, b}, [a, b](Var& node) {
-    Tensor ga = node.grad;
-    for (std::size_t i = 0; i < ga.size(); ++i) ga[i] *= b->value[i];
-    accumulate(a, ga);
-    Tensor gb = node.grad;
-    for (std::size_t i = 0; i < gb.size(); ++i) gb[i] *= a->value[i];
-    accumulate(b, gb);
+    if (needs_grad(a)) {
+      Tensor ga = node.grad;
+      for (std::size_t i = 0; i < ga.size(); ++i) ga[i] *= b->value[i];
+      accumulate(a, ga);
+    }
+    if (needs_grad(b)) {
+      Tensor gb = node.grad;
+      for (std::size_t i = 0; i < gb.size(); ++i) gb[i] *= a->value[i];
+      accumulate(b, gb);
+    }
   });
 }
 
@@ -96,11 +114,14 @@ VarPtr add_bias(const VarPtr& x, const VarPtr& bias) {
   out.add_row_inplace(bias->value);
   VarPtr node = make_node(std::move(out), {x, bias}, [x, bias](Var& node) {
     accumulate(x, node.grad);
-    Tensor gb = Tensor::zeros(1, node.grad.cols());
+    if (!needs_grad(bias)) return;
+    const std::size_t cols = node.grad.cols();
+    Tensor gb = Tensor::zeros(1, cols);
+    float* sum = gb.data().data();
+    const float* g = node.grad.data().data();
     for (std::size_t r = 0; r < node.grad.rows(); ++r) {
-      for (std::size_t c = 0; c < node.grad.cols(); ++c) {
-        gb[c] += node.grad.at(r, c);
-      }
+      const float* row = g + r * cols;
+      for (std::size_t c = 0; c < cols; ++c) sum[c] += row[c];
     }
     accumulate(bias, gb);
   });
@@ -147,9 +168,12 @@ VarPtr mul_scalar(const VarPtr& x, const VarPtr& scalar) {
   Tensor out = x->value;
   out.scale_inplace(s);
   return make_node(std::move(out), {x, scalar}, [x, scalar, s](Var& node) {
-    Tensor gx = node.grad;
-    gx.scale_inplace(s);
-    accumulate(x, gx);
+    if (needs_grad(x)) {
+      Tensor gx = node.grad;
+      gx.scale_inplace(s);
+      accumulate(x, gx);
+    }
+    if (!needs_grad(scalar)) return;
     float gs = 0.0f;
     for (std::size_t i = 0; i < node.grad.size(); ++i) {
       gs += node.grad[i] * x->value[i];
@@ -163,8 +187,10 @@ VarPtr relu(const VarPtr& x) {
   out.relu_inplace();
   VarPtr node = make_node(std::move(out), {x}, [x](Var& node) {
     Tensor g = node.grad;
+    float* gp = g.data().data();
+    const float* xp = x->value.data().data();
     for (std::size_t i = 0; i < g.size(); ++i) {
-      if (x->value[i] <= 0.0f) g[i] = 0.0f;
+      gp[i] = xp[i] <= 0.0f ? 0.0f : gp[i];
     }
     accumulate(x, g);
   });
@@ -295,6 +321,10 @@ VarPtr vstack(const std::vector<VarPtr>& blocks) {
   return make_node(std::move(out), blocks, [blocks = blocks](Var& node) {
     std::size_t row = 0;
     for (const VarPtr& b : blocks) {
+      if (!needs_grad(b)) {
+        row += b->value.rows();
+        continue;
+      }
       Tensor g = Tensor::uninitialized(b->value.rows(), b->value.cols());
       for (std::size_t r = 0; r < g.rows(); ++r, ++row) {
         for (std::size_t c = 0; c < g.cols(); ++c) {
@@ -409,6 +439,7 @@ VarPtr mse_loss(const VarPtr& pred, const VarPtr& target) {
     gp.sub_inplace(target->value);
     gp.scale_inplace(g);
     accumulate(pred, gp);
+    if (!needs_grad(target)) return;
     Tensor gt = gp;
     gt.scale_inplace(-1.0f);
     accumulate(target, gt);

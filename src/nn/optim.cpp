@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "nn/simd.hpp"
+
 namespace lightnas::nn {
 
 CosineSchedule::CosineSchedule(double base_lr, std::size_t total_steps,
@@ -245,26 +247,49 @@ Adam::Adam(std::vector<VarPtr> params, double lr, double beta1, double beta2,
   }
 }
 
+namespace {
+
+/// Elements [begin, n) of one Adam step — the reference chain that
+/// simd::adam_update_avx2 reproduces four lanes at a time.
+void adam_update(float* w, float* m, float* v, const float* g,
+                 std::size_t begin, std::size_t n,
+                 const simd::AdamStep& s) {
+  for (std::size_t j = begin; j < n; ++j) {
+    double gj = g[j];
+    if (s.weight_decay != 0.0) {
+      gj += s.weight_decay * static_cast<double>(w[j]);
+    }
+    m[j] = static_cast<float>(s.beta1 * m[j] + (1.0 - s.beta1) * gj);
+    v[j] = static_cast<float>(s.beta2 * v[j] + (1.0 - s.beta2) * gj * gj);
+    const double mhat = m[j] / s.bc1;
+    const double vhat = v[j] / s.bc2;
+    w[j] -= static_cast<float>(s.lr * mhat / (std::sqrt(vhat) + s.eps));
+  }
+}
+
+}  // namespace
+
 void Adam::step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const simd::AdamStep s{beta1_,
+                         beta2_,
+                         lr_,
+                         eps_,
+                         weight_decay_,
+                         1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                         1.0 - std::pow(beta2_, static_cast<double>(t_))};
+  const bool vec = simd::active_isa() != simd::IsaLevel::kScalar;
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Var& p = *params_[i];
     p.ensure_grad();
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      double g = p.grad[j];
-      if (weight_decay_ != 0.0) {
-        g += weight_decay_ * static_cast<double>(p.value[j]);
-      }
-      m_[i][j] = static_cast<float>(beta1_ * m_[i][j] + (1.0 - beta1_) * g);
-      v_[i][j] =
-          static_cast<float>(beta2_ * v_[i][j] + (1.0 - beta2_) * g * g);
-      const double mhat = m_[i][j] / bc1;
-      const double vhat = v_[i][j] / bc2;
-      p.value[j] -=
-          static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
-    }
+    float* w = p.value.data().data();
+    float* m = m_[i].data().data();
+    float* v = v_[i].data().data();
+    const float* g = p.grad.data().data();
+    const std::size_t n = p.value.size();
+    const std::size_t done = vec ? simd::adam_update_avx2(w, m, v, g, n, s)
+                                 : 0;
+    adam_update(w, m, v, g, done, n, s);
   }
 }
 

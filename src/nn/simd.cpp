@@ -173,6 +173,15 @@ void matmul_nt_rows_avx2(const float*, const float*, float*, std::size_t,
                          std::size_t, std::size_t, std::size_t, bool) {
   no_avx2();
 }
+void matmul_zero_skip_rows_avx2(const float*, std::size_t, std::size_t,
+                                const float*, float*, std::size_t,
+                                std::size_t, std::size_t, std::size_t) {
+  no_avx2();
+}
+std::size_t adam_update_avx2(float*, float*, float*, const float*,
+                             std::size_t, const AdamStep&) {
+  no_avx2();
+}
 void add_row_relu_rows_avx2(float*, const float*, std::size_t, std::size_t,
                             std::size_t) {
   no_avx2();

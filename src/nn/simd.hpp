@@ -96,12 +96,34 @@ void matmul_tn_rows_avx2(const float* a, const float* b, float* c,
                          std::size_t i0, std::size_t i1, std::size_t kc,
                          bool fma);
 
-/// C(r0..r1, :) = A(r0..r1, :) * B^T, A (m x k), B (n x k). Dot-product
-/// layout (no k-tiling: each output is one pass over k held in a
-/// register), so there is no kc parameter.
+/// C(r0..r1, :) = A(r0..r1, :) * B^T, A (m x k), B (n x k). B is packed
+/// into column panels internally (its k-tile is fixed), so there is no
+/// kc parameter.
 void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
                          std::size_t k, std::size_t n, std::size_t r0,
                          std::size_t r1, bool fma);
+
+/// C(r0..r1, :) = A * B with A's zero entries skipped; A(i, p) at
+/// a[i * row_stride + p * col_stride]. The AVX2 (non-FMA) twin of the
+/// scalar zero-skip kernel in tensor.cpp, bit-identical to it.
+void matmul_zero_skip_rows_avx2(const float* a, std::size_t row_stride,
+                                std::size_t col_stride, const float* b,
+                                float* c, std::size_t k, std::size_t n,
+                                std::size_t r0, std::size_t r1);
+
+/// Coefficients of one Adam step (see nn::Adam::step): bc1 and bc2 are
+/// the bias corrections 1 - beta^t.
+struct AdamStep {
+  double beta1, beta2, lr, eps, weight_decay, bc1, bc2;
+};
+
+/// Adam update of elements [0, n - n % 4) of (w, m, v) from gradient g,
+/// four doubles per vector; returns the count it updated. Every element
+/// runs the scalar step's double-precision op sequence (mul, add, div
+/// and sqrt are correctly rounded in both), so it is bit-identical to
+/// the scalar loop in optim.cpp on every tier.
+std::size_t adam_update_avx2(float* w, float* m, float* v, const float* g,
+                             std::size_t n, const AdamStep& step);
 
 /// Fused v = max(v + bias[c], 0) over rows [r0, r1) of data (rows x cols).
 void add_row_relu_rows_avx2(float* data, const float* bias,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -587,6 +589,123 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b,
   Tensor c = Tensor::uninitialized(a.rows(), b.rows());
   matmul_nt_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),
                  a.cols(), b.rows(), ctx);
+  return c;
+}
+
+namespace {
+
+bool all_finite(const float* v, std::size_t count) {
+  // Branch-free so the scan vectorizes: an all-ones exponent is inf/NaN.
+  std::uint32_t special = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, v + i, sizeof bits);
+    special |= static_cast<std::uint32_t>((bits & 0x7f800000u) ==
+                                          0x7f800000u);
+  }
+  return special == 0;
+}
+
+std::size_t count_nonzero(const float* v, std::size_t count) {
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < count; ++i) nonzero += v[i] != 0.0f;
+  return nonzero;
+}
+
+/// Rows [r0, r1) of C = A * B with A's zero entries skipped, A(i, p) at
+/// a[i * row_stride + p * col_stride] (so one kernel serves both the NN
+/// layout, strides (k, 1), and the TN layout, strides (1, m)). The
+/// scalar twin of simd::matmul_zero_skip_rows_avx2.
+void matmul_zero_skip_rows_scalar(const float* a, std::size_t row_stride,
+                                  std::size_t col_stride, const float* b,
+                                  float* c, std::size_t k, std::size_t n,
+                                  std::size_t r0, std::size_t r1) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    const float* arow = a + i * row_stride;
+    float* crow = c + i * n;
+    // 0.0f + first product, then ascending adds: the dense chain minus
+    // its zero terms.
+    std::fill(crow, crow + n, 0.0f);
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = arow[p * col_stride];
+      if (av == 0.0f) continue;
+      const float* brow = b + p * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+/// C = A * B with A(i, p) at a[i * row_stride + p * col_stride], A
+/// logically (m x k): the zero-skip kernels when they are exact and pay
+/// (see matmul_zero_skip), else `dense()`.
+template <typename Dense>
+void zero_skip_into(const float* a, std::size_t row_stride,
+                    std::size_t col_stride, const float* b, float* c,
+                    std::size_t m, std::size_t k, std::size_t n,
+                    const ParallelContext& ctx, Dense dense) {
+  const simd::IsaLevel isa = simd::active_isa();
+  const std::size_t nonzero = count_nonzero(a, m * k);
+  // The skip pays when its work, n products per nonzero plus the k * n
+  // scan of B, is at most a quarter of the dense m * k * n.
+  if (isa == simd::IsaLevel::kAvx2Fma || k == 0 ||
+      4 * (nonzero + k) > m * k || !all_finite(b, k * n)) {
+    dense();
+    return;
+  }
+  const auto body = [a, row_stride, col_stride, b, c, k, n,
+                     isa](std::size_t r0, std::size_t r1) {
+    if (isa != simd::IsaLevel::kScalar) {
+      simd::matmul_zero_skip_rows_avx2(a, row_stride, col_stride, b, c, k,
+                                       n, r0, r1);
+    } else {
+      matmul_zero_skip_rows_scalar(a, row_stride, col_stride, b, c, k, n,
+                                   r0, r1);
+    }
+  };
+  if (ctx.should_parallelize(m, 2 * nonzero * n)) {
+    ctx.for_rows(m, body);
+  } else {
+    body(0, m);
+  }
+}
+
+}  // namespace
+
+Tensor matmul_zero_skip(const Tensor& a, const Tensor& b) {
+  return matmul_zero_skip(a, b, ParallelContext::current());
+}
+
+Tensor matmul_zero_skip(const Tensor& a, const Tensor& b,
+                        const ParallelContext& ctx) {
+  LIGHTNAS_CHECK(a.cols() == b.rows(), "matmul_zero_skip: " +
+                                           a.shape_string() + " * " +
+                                           b.shape_string());
+  Tensor c = Tensor::uninitialized(a.rows(), b.cols());
+  const float* ap = a.data().data();
+  const float* bp = b.data().data();
+  float* cp = c.data().data();
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  zero_skip_into(ap, k, 1, bp, cp, m, k, n, ctx,
+                 [&] { matmul_into(ap, bp, cp, m, k, n, ctx); });
+  return c;
+}
+
+Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b) {
+  return matmul_tn_zero_skip(a, b, ParallelContext::current());
+}
+
+Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b,
+                           const ParallelContext& ctx) {
+  LIGHTNAS_CHECK(a.rows() == b.rows(), "matmul_tn_zero_skip: " +
+                                           a.shape_string() + "^T * " +
+                                           b.shape_string());
+  Tensor c = Tensor::uninitialized(a.cols(), b.cols());
+  const float* ap = a.data().data();
+  const float* bp = b.data().data();
+  float* cp = c.data().data();
+  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
+  zero_skip_into(ap, 1, m, bp, cp, m, k, n, ctx,
+                 [&] { matmul_tn_into(ap, bp, cp, k, m, n, ctx); });
   return c;
 }
 

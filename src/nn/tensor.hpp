@@ -149,6 +149,27 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 Tensor matmul_nt(const Tensor& a, const Tensor& b,
                  const ParallelContext& ctx);
 
+/// matmul / matmul_tn for a mostly-zero A, such as the one-hot
+/// architecture encodings the latency predictor trains and serves on.
+/// Each output element runs the dense kernels' ascending-k chain with
+/// the terms whose A factor is zero left out, which is exact: the chain
+/// starts at +0.0f and adds separately rounded products, so it never
+/// holds -0.0f, and adding a +-0 product to anything else leaves it
+/// unchanged. That needs the B factor to be finite (0 * inf is NaN), so
+/// these forms run the dense kernels instead when B holds a non-finite
+/// value, under the opt-in FMA tier (whose single-rounded chain can
+/// underflow to -0.0f), and when skipping would not pay: when the
+/// nonzero terms plus the scan of B come to more than a quarter of the
+/// dense work (few rows, or a dense A).
+/// Results are bit-identical to matmul / matmul_tn on every input.
+Tensor matmul_zero_skip(const Tensor& a, const Tensor& b);
+Tensor matmul_zero_skip(const Tensor& a, const Tensor& b,
+                        const ParallelContext& ctx);
+/// C = A^T * B with A's zero entries skipped; A is (k x m).
+Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b);
+Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b,
+                           const ParallelContext& ctx);
+
 /// Raw-pointer forms of the three GEMMs over caller-owned buffers.
 /// These hold the single dispatch path — one ISA resolution per call,
 /// kc = ctx.block(), row partitioning via should_parallelize/for_rows —

@@ -104,6 +104,37 @@ TEST(Autograd, DetachStopsGradient) {
   EXPECT_FLOAT_EQ(x->grad.item(), x->value.item());
 }
 
+TEST(Autograd, ConstantsReceiveNoGradient) {
+  // Gradients flow only into Vars that track them: the constant input
+  // of a matmul and a node computed from constants alone get none, and
+  // the parameter's gradient is the same as when the input is a leaf.
+  util::Rng rng(8);
+  Tensor input = Tensor::randn(4, 6, rng);
+  const VarPtr w = random_leaf(6, 3, 9);
+  const VarPtr x = make_const(input);
+  const VarPtr h = relu(x);  // constants only: requires no gradient
+  const VarPtr shift = random_leaf(4, 6, 10);
+  backward(add(sum_all(matmul(h, w)), sum_all(add(h, shift))));
+  EXPECT_FLOAT_EQ(x->grad.abs_max(), 0.0f);
+  EXPECT_FLOAT_EQ(h->grad.abs_max(), 0.0f);
+  EXPECT_GT(shift->grad.abs_max(), 0.0f);
+  const Tensor w_grad = w->grad;
+
+  w->zero_grad();
+  const VarPtr x_leaf = make_leaf(input);
+  backward(sum_all(matmul(relu(x_leaf), w)));
+  EXPECT_GT(x_leaf->grad.abs_max(), 0.0f);
+  EXPECT_EQ(w->grad.data(), w_grad.data());
+
+  // Two-operand ops skip only the operand that tracks nothing.
+  const VarPtr target = make_const(Tensor::randn(4, 3, rng));
+  const VarPtr pred = matmul(make_const(input), w);
+  w->zero_grad();
+  backward(mse_loss(pred, target));
+  EXPECT_FLOAT_EQ(target->grad.abs_max(), 0.0f);
+  EXPECT_GT(w->grad.abs_max(), 0.0f);
+}
+
 // ---- finite-difference checks for every op -----------------------------
 
 TEST(GradCheck, MatmulBothOperands) {

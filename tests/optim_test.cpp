@@ -5,6 +5,7 @@
 
 #include "nn/autograd.hpp"
 #include "nn/optim.hpp"
+#include "nn/simd.hpp"
 #include "util/rng.hpp"
 
 namespace lightnas::nn {
@@ -187,6 +188,58 @@ TEST(Adam, WeightDecayPullsTowardZero) {
     opt.step();
   }
   EXPECT_LT(std::abs(p->value.item()), 1.0f);
+}
+
+TEST(Adam, VectorTierIsBitIdenticalToScalar) {
+  // The AVX2 step runs four elements per vector and leaves the n % 4
+  // tail to the scalar loop; both must round every element the same.
+  // Sizes 1..13 cover all-tail, exact and mixed parameters; extreme
+  // gradients, zeros, -0 and weight decay cover the op chain's corners.
+  if (!simd::avx2_compiled() ||
+      !simd::cpu_supports(simd::IsaLevel::kAvx2)) {
+    GTEST_SKIP() << "no AVX2 tier on this host/build";
+  }
+  for (const double wd : {0.0, 1e-3}) {
+    const auto run = [wd](simd::IsaLevel isa) {
+      const simd::ScopedIsa forced(isa);
+      util::Rng rng(5);
+      std::vector<VarPtr> params;
+      for (std::size_t n = 1; n <= 13; ++n) {
+        Tensor t = Tensor::uninitialized(1, n);
+        for (std::size_t j = 0; j < n; ++j) {
+          t[j] = static_cast<float>(rng.normal(0.0, 1.0));
+        }
+        params.push_back(make_leaf(std::move(t)));
+      }
+      Adam opt(params, 1e-2, 0.9, 0.999, 1e-8, wd);
+      const float specials[] = {0.0f, -0.0f, 1e-30f, -3e38f, 1e-45f};
+      for (int step = 0; step < 30; ++step) {
+        for (const VarPtr& p : params) {
+          p->ensure_grad();
+          for (std::size_t j = 0; j < p->grad.size(); ++j) {
+            p->grad[j] = (step + j) % 7 == 0
+                             ? specials[(step + j) % 5]
+                             : static_cast<float>(rng.normal(0.0, 3.0));
+          }
+        }
+        opt.step();
+      }
+      std::vector<Tensor> out;
+      for (const VarPtr& p : params) out.push_back(p->value);
+      const Adam::State state = opt.export_state();
+      out.insert(out.end(), state.m.begin(), state.m.end());
+      out.insert(out.end(), state.v.begin(), state.v.end());
+      return out;
+    };
+    const std::vector<Tensor> scalar = run(simd::IsaLevel::kScalar);
+    const std::vector<Tensor> vec = run(simd::IsaLevel::kAvx2);
+    ASSERT_EQ(scalar.size(), vec.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i) {
+      ASSERT_EQ(0, std::memcmp(scalar[i].data().data(), vec[i].data().data(),
+                               scalar[i].size() * sizeof(float)))
+          << "tensor " << i << " diverged (weight decay " << wd << ")";
+    }
+  }
 }
 
 TEST(LambdaAscent, RisesWhenOverTarget) {

@@ -71,6 +71,31 @@ TEST(ParallelGemm, BitIdenticalAcrossThreadsBlocksAndOddShapes) {
   }
 }
 
+TEST(ParallelGemm, ZeroSkipBitIdenticalAcrossThreads) {
+  // The zero-skip kernels split output rows like the dense ones: one-hot
+  // A (one 1 per group of 7 columns) against the serial dense product.
+  const ParallelContext serial;
+  util::Rng rng(3);
+  Tensor onehot = Tensor::zeros(37, 63);
+  for (std::size_t r = 0; r < onehot.rows(); ++r) {
+    for (std::size_t c = 0; c < onehot.cols(); c += 7) {
+      onehot.at(r, c + rng.uniform_index(7)) = 1.0f;
+    }
+  }
+  const Tensor b = random_tensor(63, 29, 4);
+  const Tensor grads = random_tensor(37, 29, 5);
+  const Tensor c_ref = matmul(onehot, b, serial);
+  const Tensor c_tn_ref = matmul_tn(onehot, grads, serial);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const ParallelContext ctx(eager_config(threads));
+    EXPECT_EQ(matmul_zero_skip(onehot, b, ctx).data(), c_ref.data())
+        << "t=" << threads;
+    EXPECT_EQ(matmul_tn_zero_skip(onehot, grads, ctx).data(),
+              c_tn_ref.data())
+        << "tn t=" << threads;
+  }
+}
+
 TEST(ParallelGemm, BlockedKernelMatchesNaiveTripleLoop) {
   // The blocked kernel must agree exactly with the textbook loop: per
   // output element the accumulation chain is identical (ascending k).

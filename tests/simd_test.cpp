@@ -202,6 +202,139 @@ TEST(SimdIdentity, NanAndInfPropagateIdentically) {
   EXPECT_TRUE(bits_equal(scalar_out, vec_out));
 }
 
+TEST(SimdIdentity, PackedNtMatchesScalarAcrossPanelsAndKTiles) {
+  // Widths that take 16-column panels, an 8-column panel and the scalar
+  // dot tail; depths on both sides of the 256-deep packing tile (the
+  // accumulators round-trip through C between tiles).
+  if (!avx2_usable()) GTEST_SKIP() << "no AVX2 tier on this host/build";
+  for (const std::size_t n : {1u, 8u, 23u, 33u, 64u}) {
+    for (const std::size_t k : {0u, 1u, 255u, 256u, 257u, 600u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      const nn::Tensor a = random_tensor(6, k, 70 + k);
+      const nn::Tensor bt = random_tensor(n, k, 80 + n * 1000 + k);
+      nn::Tensor s_nt;
+      {
+        ScopedIsa scalar(IsaLevel::kScalar);
+        s_nt = nn::matmul_nt(a, bt);
+      }
+      ScopedIsa vec(IsaLevel::kAvx2);
+      EXPECT_TRUE(bits_equal(s_nt, nn::matmul_nt(a, bt)));
+    }
+  }
+}
+
+// --- zero-skip GEMMs ---------------------------------------------------
+
+/// A (rows x cols) that is mostly +0 with some -0 and `per_row` nonzero
+/// entries a row, like a one-hot encoding with a few odd values.
+nn::Tensor sparse_tensor(std::size_t rows, std::size_t cols,
+                         std::size_t per_row, std::uint64_t seed) {
+  util::Rng rng(seed);
+  nn::Tensor t = nn::Tensor::zeros(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    t.at(r, rng.uniform_index(cols)) = -0.0f;
+    for (std::size_t i = 0; i < per_row; ++i) {
+      t.at(r, rng.uniform_index(cols)) =
+          i % 3 == 0 ? 1.0f : static_cast<float>(rng.normal(0.0, 1.0));
+    }
+  }
+  return t;
+}
+
+TEST(SimdIdentity, ZeroSkipGemmsMatchDenseBitwise) {
+  // The skip must leave every bit of the dense chain intact on both
+  // tiers: one-hot rows, empty rows, -0 entries, odd widths, and the
+  // depths past the AVX2 gather tile.
+  std::vector<IsaLevel> tiers = {IsaLevel::kScalar};
+  if (avx2_usable()) tiers.push_back(IsaLevel::kAvx2);
+  const std::size_t dims[] = {1, 3, 8, 9, 17, 70};
+  for (const IsaLevel isa : tiers) {
+    const ScopedIsa forced(isa);
+    for (const std::size_t m : dims) {
+      for (const std::size_t k : {1u, 7u, 154u, 300u}) {
+        for (const std::size_t n : dims) {
+          SCOPED_TRACE(std::string(nn::simd::isa_name(isa)) +
+                       " m=" + std::to_string(m) + " k=" +
+                       std::to_string(k) + " n=" + std::to_string(n));
+          const std::size_t per_row = std::max<std::size_t>(1, k / 8);
+          const nn::Tensor a = sparse_tensor(m, k, per_row, m * 31 + k);
+          const nn::Tensor b = random_tensor(k, n, 90 + k * 7 + n);
+          EXPECT_TRUE(bits_equal(nn::matmul(a, b),
+                                 nn::matmul_zero_skip(a, b)));
+          const nn::Tensor at = sparse_tensor(k, m, std::max<std::size_t>(
+                                                        1, m / 8),
+                                              k * 17 + m);
+          const nn::Tensor bt = random_tensor(k, n, 95 + k + n * 3);
+          EXPECT_TRUE(bits_equal(nn::matmul_tn(at, bt),
+                                 nn::matmul_tn_zero_skip(at, bt)));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdIdentity, ZeroSkipKeepsIeeeCornersOfTheDenseChain) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<IsaLevel> tiers = {IsaLevel::kScalar};
+  if (avx2_usable()) tiers.push_back(IsaLevel::kAvx2);
+  for (const IsaLevel isa : tiers) {
+    const ScopedIsa forced(isa);
+    SCOPED_TRACE(nn::simd::isa_name(isa));
+    // Shapes with enough rows that the skip pays and actually runs.
+    // Nonzero non-finite A entries are ordinary terms of the chain.
+    nn::Tensor a = sparse_tensor(32, 40, 3, 1);
+    a.at(1, 3) = nan;
+    a.at(2, 9) = -inf;
+    const nn::Tensor b = random_tensor(40, 11, 2);
+    EXPECT_TRUE(bits_equal(nn::matmul(a, b), nn::matmul_zero_skip(a, b)));
+
+    // A non-finite B entry under a zero A entry must still poison its
+    // column (0 * inf = NaN): the skip has to stand down.
+    nn::Tensor poisoned = b;
+    poisoned.at(0, 4) = inf;
+    poisoned.at(7, 2) = nan;
+    const nn::Tensor onehot = sparse_tensor(32, 40, 2, 3);
+    const nn::Tensor dense = nn::matmul(onehot, poisoned);
+    EXPECT_TRUE(std::isnan(dense.at(0, 4)));
+    EXPECT_TRUE(bits_equal(dense, nn::matmul_zero_skip(onehot, poisoned)));
+    nn::Tensor poisoned_grads = random_tensor(32, 6, 4);
+    poisoned_grads.at(3, 5) = -inf;
+    const nn::Tensor dense_tn = nn::matmul_tn(onehot, poisoned_grads);
+    std::size_t zero_col = 0;
+    while (onehot.at(3, zero_col) != 0.0f) ++zero_col;
+    EXPECT_TRUE(std::isnan(dense_tn.at(zero_col, 5)));
+    EXPECT_TRUE(bits_equal(dense_tn,
+                           nn::matmul_tn_zero_skip(onehot, poisoned_grads)));
+
+    // Products that underflow to -0 (tiny negative times tiny): the
+    // dense chain turns them into +0, and so must the skip.
+    nn::Tensor tiny_a = nn::Tensor::zeros(32, 16);
+    tiny_a.at(0, 5) = 1e-30f;
+    tiny_a.at(1, 0) = -1e-30f;
+    const nn::Tensor tiny_b = nn::Tensor::full(16, 9, -1e-30f);
+    EXPECT_TRUE(bits_equal(nn::matmul(tiny_a, tiny_b),
+                           nn::matmul_zero_skip(tiny_a, tiny_b)));
+  }
+}
+
+TEST(SimdIdentity, ZeroSkipFallsBackToDenseWhereItCannotPay) {
+  // A dense A, a single row, and the FMA tier all take the dense
+  // kernels: same bits as matmul, including under FMA rounding.
+  const nn::Tensor a = random_tensor(32, 30, 5);
+  const nn::Tensor b = random_tensor(30, 12, 6);
+  EXPECT_TRUE(bits_equal(nn::matmul(a, b), nn::matmul_zero_skip(a, b)));
+  const nn::Tensor row = sparse_tensor(1, 30, 2, 7);
+  EXPECT_TRUE(bits_equal(nn::matmul(row, b), nn::matmul_zero_skip(row, b)));
+  if (nn::simd::cpu_supports(IsaLevel::kAvx2Fma) &&
+      nn::simd::avx2_compiled()) {
+    const ScopedIsa fma(IsaLevel::kAvx2Fma);
+    const nn::Tensor onehot = sparse_tensor(32, 30, 2, 8);
+    EXPECT_TRUE(bits_equal(nn::matmul(onehot, b),
+                           nn::matmul_zero_skip(onehot, b)));
+  }
+}
+
 // --- aligned storage ---------------------------------------------------
 
 TEST(SimdAligned, TensorStorageIsVectorAligned) {
