@@ -1,180 +1,279 @@
 #include "io/json.hpp"
 
-#include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace lightnas::io {
 
+namespace {
+
+const char* type_name(Json::Type type) {
+  switch (type) {
+    case Json::Type::kNull: return "null";
+    case Json::Type::kBool: return "bool";
+    case Json::Type::kNumber: return "number";
+    case Json::Type::kString: return "string";
+    case Json::Type::kArray: return "array";
+    case Json::Type::kObject: return "object";
+  }
+  return "?";
+}
+
+}  // namespace
+
+Json::Json(std::string s)
+    : type_(Type::kString), string_(new std::string(std::move(s))) {}
+
+Json::Json(const Json& other) : type_(other.type_), number_(0.0) {
+  switch (type_) {
+    case Type::kNull: break;
+    case Type::kBool: bool_ = other.bool_; break;
+    case Type::kNumber: number_ = other.number_; break;
+    case Type::kString: string_ = new std::string(*other.string_); break;
+    case Type::kArray: array_ = new std::vector<Json>(*other.array_); break;
+    case Type::kObject:
+      object_ = new std::map<std::string, Json>(*other.object_);
+      break;
+  }
+}
+
+// The payload is trivially copyable whichever member is live, so a move
+// copies the 8 bytes and leaves `other` null.
+Json::Json(Json&& other) noexcept : type_(other.type_) {
+  std::memcpy(&number_, &other.number_, sizeof(number_));
+  other.type_ = Type::kNull;
+}
+
+Json& Json::operator=(const Json& other) {
+  if (this != &other) *this = Json(other);
+  return *this;
+}
+
+Json& Json::operator=(Json&& other) noexcept {
+  // Detach `other` before destroying this value: it may live inside it.
+  Json taken(std::move(other));
+  destroy();
+  type_ = taken.type_;
+  std::memcpy(&number_, &taken.number_, sizeof(number_));
+  taken.type_ = Type::kNull;
+  return *this;
+}
+
+Json::~Json() { destroy(); }
+
+void Json::destroy() noexcept {
+  switch (type_) {
+    case Type::kString: delete string_; break;
+    case Type::kArray: delete array_; break;
+    case Type::kObject: delete object_; break;
+    default: break;
+  }
+  type_ = Type::kNull;
+}
+
+void Json::check_type(Type expected) const {
+  if (type_ != expected) {
+    throw std::runtime_error(std::string("json: expected ") +
+                             type_name(expected) + ", got " +
+                             type_name(type_));
+  }
+}
+
 Json Json::array() {
   Json j;
   j.type_ = Type::kArray;
+  j.array_ = new std::vector<Json>();
   return j;
 }
 
 Json Json::object() {
   Json j;
   j.type_ = Type::kObject;
+  j.object_ = new std::map<std::string, Json>();
   return j;
 }
 
 bool Json::as_bool() const {
-  assert(type_ == Type::kBool);
+  check_type(Type::kBool);
   return bool_;
 }
 
 double Json::as_number() const {
-  assert(type_ == Type::kNumber);
+  check_type(Type::kNumber);
   return number_;
 }
 
 const std::string& Json::as_string() const {
-  assert(type_ == Type::kString);
-  return string_;
+  check_type(Type::kString);
+  return *string_;
 }
 
 const std::vector<Json>& Json::as_array() const {
-  assert(type_ == Type::kArray);
-  return array_;
+  check_type(Type::kArray);
+  return *array_;
 }
 
 const std::map<std::string, Json>& Json::as_object() const {
-  assert(type_ == Type::kObject);
-  return object_;
+  check_type(Type::kObject);
+  return *object_;
 }
 
 void Json::push_back(Json value) {
-  assert(type_ == Type::kArray);
-  array_.push_back(std::move(value));
+  check_type(Type::kArray);
+  array_->push_back(std::move(value));
 }
 
 void Json::set(const std::string& key, Json value) {
-  assert(type_ == Type::kObject);
-  object_[key] = std::move(value);
+  check_type(Type::kObject);
+  (*object_)[key] = std::move(value);
 }
 
 bool Json::contains(const std::string& key) const {
-  assert(type_ == Type::kObject);
-  return object_.count(key) != 0;
+  return as_object().count(key) != 0;
 }
 
 const Json& Json::at(const std::string& key) const {
-  assert(type_ == Type::kObject);
-  auto it = object_.find(key);
-  if (it == object_.end()) {
+  const auto& object = as_object();
+  auto it = object.find(key);
+  if (it == object.end()) {
     throw std::runtime_error("json: missing key '" + key + "'");
   }
   return it->second;
 }
 
 const Json& Json::at(std::size_t index) const {
-  assert(type_ == Type::kArray);
-  if (index >= array_.size()) {
+  const auto& array = as_array();
+  if (index >= array.size()) {
     throw std::runtime_error("json: index out of range");
   }
-  return array_[index];
+  return array[index];
 }
 
 std::size_t Json::size() const {
-  if (type_ == Type::kArray) return array_.size();
-  if (type_ == Type::kObject) return object_.size();
+  if (type_ == Type::kArray) return array_->size();
+  if (type_ == Type::kObject) return object_->size();
   return 0;
 }
 
 namespace {
 
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
+/// One-pass serializer. Appends to a buffer; with a file attached, hands
+/// the buffer to the file every kFlushBytes, so writing a checkpoint
+/// never holds more than one buffer of its text.
+class Writer {
+ public:
+  explicit Writer(std::ofstream* file = nullptr) : file_(file) {}
+
+  void value(const Json& v) {
+    switch (v.type()) {
+      case Json::Type::kNull: buf_ += "null"; break;
+      case Json::Type::kBool: buf_ += v.as_bool() ? "true" : "false"; break;
+      case Json::Type::kNumber: number(v.as_number()); break;
+      case Json::Type::kString: string(v.as_string()); break;
+      case Json::Type::kArray: {
+        buf_ += '[';
+        bool first = true;
+        for (const Json& item : v.as_array()) {
+          if (!first) buf_ += ',';
+          first = false;
+          value(item);
+          maybe_flush();
         }
+        buf_ += ']';
+        break;
+      }
+      case Json::Type::kObject: {
+        buf_ += '{';
+        bool first = true;
+        for (const auto& [key, item] : v.as_object()) {
+          if (!first) buf_ += ',';
+          first = false;
+          string(key);
+          buf_ += ':';
+          value(item);
+          maybe_flush();
+        }
+        buf_ += '}';
+        break;
+      }
     }
   }
-  out += '"';
-}
 
-void dump_number(double v, std::string& out) {
-  // JSON has no literal for NaN/inf; "%g" would emit "nan"/"inf", which
-  // our own parser (and every other one) rejects. Emit null instead;
-  // readers map null back to NaN (Json::number_or_nan, to_doubles).
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
+  void flush() {
+    file_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
   }
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-    return;
+
+  std::string take() { return std::move(buf_); }
+
+ private:
+  static constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+
+  void maybe_flush() {
+    if (file_ != nullptr && buf_.size() >= kFlushBytes) flush();
   }
-  // 17 significant digits round-trip any IEEE double exactly — required
-  // for bit-for-bit checkpoint restore (lambda, RNG-derived doubles).
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
+
+  void string(const std::string& s) {
+    buf_ += '"';
+    for (char c : s) {
+      switch (c) {
+        case '"': buf_ += "\\\""; break;
+        case '\\': buf_ += "\\\\"; break;
+        case '\n': buf_ += "\\n"; break;
+        case '\t': buf_ += "\\t"; break;
+        case '\r': buf_ += "\\r"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char esc[8];
+            std::snprintf(esc, sizeof(esc), "\\u%04x", c);
+            buf_ += esc;
+          } else {
+            buf_ += c;
+          }
+      }
+    }
+    buf_ += '"';
+  }
+
+  void number(double v) {
+    // JSON has no literal for NaN/inf; "%g" would emit "nan"/"inf", which
+    // our own parser (and every other one) rejects. Emit null instead;
+    // readers map null back to NaN (Json::number_or_nan, to_doubles).
+    if (!std::isfinite(v)) {
+      buf_ += "null";
+      return;
+    }
+    // 17 significant digits round-trip any IEEE double exactly — required
+    // for bit-for-bit checkpoint restore (lambda, RNG-derived doubles).
+    // to_chars with a precision is specified as printf's "%.0f" / "%.17g"
+    // in the C locale: the same bytes, at a third of the cost.
+    const bool integral = v == std::floor(v) && std::abs(v) < 1e15;
+    char text[48];
+    const auto result =
+        integral ? std::to_chars(text, text + sizeof(text), v,
+                                 std::chars_format::fixed, 0)
+                 : std::to_chars(text, text + sizeof(text), v,
+                                 std::chars_format::general, 17);
+    buf_.append(text, result.ptr);
+  }
+
+  std::string buf_;
+  std::ofstream* file_;
+};
 
 }  // namespace
 
 std::string Json::dump() const {
-  std::string out;
-  switch (type_) {
-    case Type::kNull:
-      out = "null";
-      break;
-    case Type::kBool:
-      out = bool_ ? "true" : "false";
-      break;
-    case Type::kNumber:
-      dump_number(number_, out);
-      break;
-    case Type::kString:
-      dump_string(string_, out);
-      break;
-    case Type::kArray: {
-      out = "[";
-      bool first = true;
-      for (const Json& v : array_) {
-        if (!first) out += ',';
-        first = false;
-        out += v.dump();
-      }
-      out += ']';
-      break;
-    }
-    case Type::kObject: {
-      out = "{";
-      bool first = true;
-      for (const auto& [key, value] : object_) {
-        if (!first) out += ',';
-        first = false;
-        dump_string(key, out);
-        out += ':';
-        out += value.dump();
-      }
-      out += '}';
-      break;
-    }
-  }
-  return out;
+  Writer writer;
+  writer.value(*this);
+  return writer.take();
 }
 
 namespace {
@@ -184,7 +283,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse() {
-    Json value = parse_value();
+    Json value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters");
     return value;
@@ -221,11 +320,17 @@ class Parser {
     return false;
   }
 
-  Json parse_value() {
+  // `depth` counts the containers enclosing this value; recursion stops
+  // at Json::kMaxDepth so no input can overflow the stack.
+  Json parse_value(std::size_t depth) {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth == Json::kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+      }
+      return c == '{' ? parse_object(depth + 1) : parse_array(depth + 1);
+    }
     if (c == '"') return Json(parse_string());
     if (try_consume("null")) return Json();
     if (try_consume("true")) return Json(true);
@@ -233,7 +338,7 @@ class Parser {
     return parse_number();
   }
 
-  Json parse_object() {
+  Json parse_object(std::size_t depth) {
     expect('{');
     Json obj = Json::object();
     skip_ws();
@@ -246,7 +351,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.set(key, parse_value());
+      obj.set(key, parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -257,7 +362,7 @@ class Parser {
     }
   }
 
-  Json parse_array() {
+  Json parse_array(std::size_t depth) {
     expect('[');
     Json arr = Json::array();
     skip_ws();
@@ -266,7 +371,7 @@ class Parser {
       return arr;
     }
     while (true) {
-      arr.push_back(parse_value());
+      arr.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -323,21 +428,51 @@ class Parser {
     }
   }
 
-  Json parse_number() {
+  bool digits() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start) fail("expected a value");
-    try {
-      return Json(std::stod(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
+    return pos_ > start;
+  }
+
+  bool consume(char c) {
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  static bool is_number_char(char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) || c == '.' ||
+           c == 'e' || c == 'E' || c == '+' || c == '-';
+  }
+
+  // RFC 8259 grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+  // The token must match it whole and convert exactly: "1-2", "1e",
+  // "1.2.3" and "01" are malformed, not their prefix. std::from_chars
+  // parses subnormals exactly and reports overflow ("1e999") as an error.
+  Json parse_number() {
+    const std::size_t start = pos_;
+    if (!is_number_char(peek())) fail("expected a value");
+    consume('-');
+    bool ok = consume('0') || digits();
+    if (ok && consume('.')) ok = digits();
+    if (ok && (consume('e') || consume('E'))) {
+      if (!consume('+')) consume('-');
+      ok = digits();
+    }
+    if (!ok || (pos_ < text_.size() && is_number_char(text_[pos_]))) {
       fail("malformed number");
     }
+    double value = 0.0;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || end != last) fail("malformed number");
+    return Json(value);
   }
 
   const std::string& text_;
@@ -352,13 +487,15 @@ Json Json::parse(const std::string& text) {
 
 Json Json::from_doubles(const std::vector<double>& values) {
   Json arr = Json::array();
-  for (double v : values) arr.push_back(Json(v));
+  arr.array_->reserve(values.size());
+  for (double v : values) arr.array_->emplace_back(v);
   return arr;
 }
 
-Json Json::from_floats(const std::vector<float>& values) {
+Json Json::from_floats(std::span<const float> values) {
   Json arr = Json::array();
-  for (float v : values) arr.push_back(Json(static_cast<double>(v)));
+  arr.array_->reserve(values.size());
+  for (float v : values) arr.array_->emplace_back(static_cast<double>(v));
   return arr;
 }
 
@@ -386,23 +523,20 @@ std::vector<float> Json::to_floats() const {
 }
 
 void write_json_file(const std::string& path, const Json& value) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open for write: " + path);
-  out << value.dump();
-  if (!out.good()) throw std::runtime_error("write failed: " + path);
+  Writer writer(&out);
+  writer.value(value);
+  writer.flush();
+  out.close();
+  if (out.fail()) throw std::runtime_error("write failed: " + path);
 }
 
 void write_json_file_atomic(const std::string& path, const Json& value) {
   // Write-temp-then-rename so a crash mid-write never leaves a torn
   // artifact at `path` — essential for checkpoints a resume depends on.
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open for write: " + tmp);
-    out << value.dump();
-    out.flush();
-    if (!out.good()) throw std::runtime_error("write failed: " + tmp);
-  }
+  write_json_file(tmp, value);
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
@@ -412,11 +546,17 @@ void write_json_file_atomic(const std::string& path, const Json& value) {
 }
 
 Json read_json_file(const std::string& path) {
-  std::ifstream in(path);
+  // One string sized from the file length: no stream-buffer copy.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Json::parse(buffer.str());
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("read failed: " + path);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(text.data(), size)) {
+    throw std::runtime_error("read failed: " + path);
+  }
+  return Json::parse(text);
 }
 
 }  // namespace lightnas::io

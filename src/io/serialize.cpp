@@ -40,20 +40,21 @@ Json tensor_to_json(const nn::Tensor& t) {
   Json json = Json::object();
   json.set("rows", Json(t.rows()));
   json.set("cols", Json(t.cols()));
-  json.set("data", Json::from_floats(
-                       std::vector<float>(t.data().begin(), t.data().end())));
+  json.set("data", Json::from_floats(t.data()));
   return json;
 }
 
 nn::Tensor tensor_from_json(const Json& json) {
   const auto rows = static_cast<std::size_t>(json.at("rows").as_number());
   const auto cols = static_cast<std::size_t>(json.at("cols").as_number());
-  const std::vector<float> data = json.at("data").to_floats();
+  const std::vector<Json>& data = json.at("data").as_array();
   if (data.size() != rows * cols) {
     throw std::runtime_error("tensor data does not match its shape");
   }
   nn::Tensor t(rows, cols);
-  t.data().assign(data.begin(), data.end());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    t[i] = static_cast<float>(data[i].number_or_nan());
+  }
   return t;
 }
 

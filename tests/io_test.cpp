@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 
 #include "io/json.hpp"
 #include "io/serialize.hpp"
@@ -74,12 +80,131 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW(Json::parse("nul"), std::runtime_error);
   EXPECT_THROW(Json::parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(Json::parse("{\"a\" 1}"), std::runtime_error);
+  // A malformed number is an error, not its longest valid prefix.
+  for (const char* text : {"[1-2]", "1e", "1e+", "1.2.3", "01", "+1"}) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed number"),
+                std::string::npos) << text << ": " << e.what();
+    }
+  }
+}
+
+// memcmp, not ==: -0.0 == 0.0, and a subnormal that decays to zero or a
+// neighbour must not pass.
+void expect_bits_round_trip(double v) {
+  const double back = Json::parse(Json(v).dump()).as_number();
+  EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0)
+      << Json(v).dump() << " came back as " << back;
+}
+
+TEST(Json, ExtremeDoublesRoundTripBitExact) {
+  expect_bits_round_trip(5e-324);
+  expect_bits_round_trip(1e-310);
+  expect_bits_round_trip(std::numeric_limits<double>::min());
+  expect_bits_round_trip(std::numeric_limits<double>::max());
+  expect_bits_round_trip(-0.0);
+  expect_bits_round_trip(
+      static_cast<double>(std::numeric_limits<float>::denorm_min()));
+  // The literals Json::dump writes for subnormals parse back exactly.
+  EXPECT_EQ(Json::parse("4.9406564584124654e-324").as_number(), 5e-324);
+  EXPECT_EQ(Json::parse("1e-310").as_number(), 1e-310);
+  EXPECT_EQ(Json::parse("2.2250738585072009e-308").as_number(),
+            2.2250738585072009e-308);
+  EXPECT_THROW(Json::parse("1e999"), std::runtime_error);
+}
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(Json, NestingDepthIsCapped) {
+  const Json at_cap = Json::parse(nested_arrays(Json::kMaxDepth));
+  EXPECT_EQ(at_cap.size(), 1u);
+  EXPECT_THROW(Json::parse(nested_arrays(Json::kMaxDepth + 1)),
+               std::runtime_error);
+  // Far past the cap: a typed error, not a stack overflow.
+  EXPECT_THROW(Json::parse(std::string(1000000, '[')), std::runtime_error);
+  EXPECT_THROW(Json::parse(nested_arrays(1000000)), std::runtime_error);
+}
+
+TEST(Json, AccessorsThrowOnWrongType) {
+  Json arr = Json::array();
+  arr.push_back(Json(1));
+  Json obj = Json::object();
+  obj.set("k", Json(1));
+  const std::vector<Json> samples{Json(), Json(true), Json(2.5),
+                                  Json("s"), arr, obj};
+  using T = Json::Type;
+  const std::vector<std::pair<T, std::function<void(Json&)>>> accessors{
+      {T::kBool, [](Json& j) { (void)j.as_bool(); }},
+      {T::kNumber, [](Json& j) { (void)j.as_number(); }},
+      {T::kString, [](Json& j) { (void)j.as_string(); }},
+      {T::kArray, [](Json& j) { (void)j.as_array(); }},
+      {T::kObject, [](Json& j) { (void)j.as_object(); }},
+      {T::kArray, [](Json& j) { j.push_back(Json(3)); }},
+      {T::kObject, [](Json& j) { j.set("x", Json(3)); }},
+      {T::kObject, [](Json& j) { (void)j.contains("k"); }},
+      {T::kObject, [](Json& j) { (void)j.at("k"); }},
+      {T::kArray, [](Json& j) { (void)j.at(std::size_t{0}); }},
+  };
+  const char* names[] = {"null", "bool", "number", "string", "array",
+                         "object"};
+  for (std::size_t a = 0; a < accessors.size(); ++a) {
+    const auto& [expected, call] = accessors[a];
+    for (const Json& sample : samples) {
+      Json j = sample;
+      if (j.type() == expected) {
+        EXPECT_NO_THROW(call(j)) << "accessor " << a;
+        continue;
+      }
+      try {
+        call(j);
+        ADD_FAILURE() << "accessor " << a << " accepted "
+                      << names[static_cast<int>(j.type())];
+      } catch (const std::runtime_error& e) {
+        const std::string want =
+            std::string("expected ") + names[static_cast<int>(expected)];
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_THROW((void)Json("s").number_or_nan(), std::runtime_error);
+  EXPECT_THROW((void)Json(1).to_floats(), std::runtime_error);
+}
+
+TEST(Json, CopyIsDeepAndMoveLeavesNull) {
+  Json a = Json::object();
+  a.set("v", Json::from_doubles({1.0, 2.0}));
+  a.set("s", Json("text"));
+  Json b = a;
+  b.set("s", Json("changed"));
+  EXPECT_EQ(a.at("s").as_string(), "text");
+  Json c = std::move(b);
+  EXPECT_TRUE(b.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.at("s").as_string(), "changed");
+  c = c;  // self-assignment keeps the value
+  EXPECT_EQ(c.at("v").size(), 2u);
+  a = std::move(c);
+  EXPECT_EQ(a.at("s").as_string(), "changed");
+  EXPECT_EQ(a.dump(), R"({"s":"changed","v":[1,2]})");
+  a = a.at("v");  // assigning a value its own child
+  EXPECT_EQ(a.dump(), "[1,2]");
 }
 
 class SerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "lightnas_io_test";
+    // One directory per test: ctest runs the tests of this fixture as
+    // parallel processes, and TearDown removes the whole directory.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("lightnas_io_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
@@ -174,6 +299,165 @@ TEST_F(SerializeTest, SearchResultRoundTrip) {
   ASSERT_EQ(restored.trace.size(), 3u);
   EXPECT_EQ(restored.trace[2].derived, result.trace[2].derived);
   EXPECT_NEAR(restored.trace[1].valid_accuracy, 0.35, 1e-9);
+}
+
+// --- golden bytes ---------------------------------------------------------
+//
+// The serialized form is a compatibility contract: checkpoints written by
+// one build must resume under the next. These fixtures pin the exact
+// bytes the writer emits for every number form (integer, fraction,
+// -0, non-finite -> null, extremes), string escapes, u64 hex and nesting.
+
+core::SearchCheckpoint golden_checkpoint() {
+  core::SearchCheckpoint ck;
+  ck.seed = 0x0123456789abcdefULL;
+  ck.total_epochs = 12;
+  ck.targets = {24.0, 3.5};
+  ck.next_epoch = 5;
+  ck.w_step_counter = 240;
+  ck.alpha = nn::Tensor(2, 3);
+  const float alpha[] = {0.1f, -0.25f, 1e-20f, 3.14159274f, 0.0f, -1.5f};
+  for (std::size_t i = 0; i < 6; ++i) ck.alpha[i] = alpha[i];
+  nn::Tensor w(1, 2);
+  w[0] = 1.0f / 3.0f;
+  w[1] = -7.0f;
+  ck.supernet_weights = {w, nn::Tensor(2, 1, 0.5f)};
+  ck.w_velocity = {nn::Tensor(1, 2, 1e-8f)};
+  ck.adam_m = {nn::Tensor(1, 1, -0.0f)};
+  ck.adam_v = {nn::Tensor(1, 1, 123456.789f)};
+  ck.adam_t = 7;
+  ck.lambdas = {0.12345678901234568, -0.0};
+  ck.cooldown_scale = 0.5;
+  ck.tau_floor = std::numeric_limits<double>::quiet_NaN();
+  ck.rng.s = {1, 2, 0xffffffffffffffffULL, 0x8000000000000000ULL};
+  ck.rng.have_cached_normal = true;
+  ck.rng.cached_normal = -1.2345678901234567;
+  ck.data_rng.s = {5, 6, 7, 8};
+  ck.train_batcher.order = {3, 1, 2, 0};
+  ck.train_batcher.cursor = 2;
+  ck.weight_updates = 240;
+  ck.alpha_updates = 100;
+  ck.health.rollbacks = 1;
+  ck.health.completed_epochs = 5;
+  ck.health.pool_bytes_recycled = 999999999999999ULL;
+  ck.health.plan_arena_bytes = 1000000000000000ULL;
+  ck.health.events.push_back({3, "loss \"nan\"\n\tat\x01 epoch\\3", true});
+  core::SearchEpochStats stats;
+  stats.epoch = 4;
+  stats.tau = 2.5;
+  stats.lambda = -1e-300;
+  stats.predicted_cost = 1.7976931348623157e308;
+  stats.lambdas = {-1e-300};
+  stats.predicted_costs = {std::numeric_limits<double>::infinity()};
+  stats.sampled_cost_mean = 23.25;
+  stats.valid_loss = 2.0 / 3.0;
+  stats.valid_accuracy = 0.875;
+  stats.derived = space::Architecture({0, 2, 1});
+  ck.trace.push_back(stats);
+  return ck;
+}
+
+constexpr const char* kGoldenCheckpoint =
+    R"({"adam_m":[{"cols":1,"data":[-0],"rows":1}],"adam_t":7,"adam_v":[{)"
+    R"("cols":1,"data":[123456.7890625],"rows":1}],"alpha":{"cols":3,"dat)"
+    R"(a":[0.10000000149011612,-0.25,9.9999996826552254e-21,3.14159274101)"
+    R"(25732,0,-1.5],"rows":2},"alpha_updates":100,"cooldown_scale":0.5,")"
+    R"(data_rng":{"cached_normal":0,"have_cached_normal":false,"s":["0000)"
+    R"(000000000005","0000000000000006","0000000000000007","0000000000000)"
+    R"(008"]},"health":{"aborted_early":false,"completed_epochs":5,"event)"
+    R"(s":[{"epoch":3,"reason":"loss \"nan\"\n\tat\u0001 epoch\\3","rolle)"
+    R"(d_back":true}],"interrupted":false,"measurement_retries":0,"measur)"
+    R"(ements_rejected":0,"plan_arena_bytes":1000000000000000,"plan_compi)"
+    R"(les":0,"plan_fused_ops":0,"plan_hits":0,"plan_misses":0,"pool_buff)"
+    R"(er_hits":0,"pool_buffer_misses":0,"pool_bytes_recycled":9999999999)"
+    R"(99999,"pool_tape_hits":0,"pool_tape_misses":0,"resumed":false,"res)"
+    R"(umed_from_epoch":0,"rollbacks":1},"kind":"lightnas.checkpoint","la)"
+    R"(mbdas":[0.12345678901234568,-0],"next_epoch":5,"rng":{"cached_norm)"
+    R"(al":-1.2345678901234567,"have_cached_normal":true,"s":["0000000000)"
+    R"(000001","0000000000000002","ffffffffffffffff","8000000000000000"]})"
+    R"(,"seed":"0123456789abcdef","supernet_weights":[{"cols":2,"data":[0)"
+    R"(.3333333432674408,-7],"rows":1},{"cols":1,"data":[0.5,0.5],"rows":)"
+    R"(2}],"targets":[24,3.5],"tau_floor":null,"total_epochs":12,"trace":)"
+    R"([{"derived":"0,2,1","epoch":4,"lambda":-1e-300,"lambdas":[-1e-300])"
+    R"(,"predicted_cost":1.7976931348623157e+308,"predicted_costs":[null])"
+    R"(,"sampled_cost_mean":23.25,"tau":2.5,"valid_accuracy":0.875,"valid)"
+    R"(_loss":0.66666666666666663}],"train_batcher":{"cursor":2,"order":[)"
+    R"(3,1,2,0]},"valid_batcher":{"cursor":0,"order":[]},"valid_rng":{"ca)"
+    R"(ched_normal":0,"have_cached_normal":false,"s":["0000000000000000",)"
+    R"("0000000000000000","0000000000000000","0000000000000000"]},"versio)"
+    R"(n":1,"w_step_counter":240,"w_velocity":[{"cols":2,"data":[9.999999)"
+    R"(9392252903e-09,9.9999999392252903e-09],"rows":1}],"weight_updates")"
+    R"(:240})";
+
+// The predictor file is ~8.6k floats (~190 KB of text), so it is pinned
+// by length, FNV-1a hash and its leading bytes instead of verbatim.
+constexpr std::size_t kGoldenPredictorBytes = 189992;
+constexpr std::uint64_t kGoldenPredictorFnv = 0xa3b279aee0fd6dd0ULL;
+constexpr const char* kGoldenPredictorHead =
+    R"({"kind":"lightnas.predictor.mlp","num_layers":2,"num_ops":3,)"
+    R"("target_mean":0,"target_std":1,"tensors":[{"cols":128,"data":[)";
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST_F(SerializeTest, CheckpointBytesMatchGolden) {
+  const core::SearchCheckpoint ck = golden_checkpoint();
+  save_checkpoint(path("golden.json"), ck);
+  const std::string bytes = read_bytes(path("golden.json"));
+  EXPECT_EQ(bytes, kGoldenCheckpoint);
+  EXPECT_EQ(checkpoint_to_json(ck).dump(), bytes);
+}
+
+TEST_F(SerializeTest, SubnormalCheckpointFieldReloadsBitExact) {
+  core::SearchCheckpoint ck = golden_checkpoint();
+  ck.cooldown_scale = 5e-324;
+  save_checkpoint(path("subnormal.json"), ck);
+  const core::SearchCheckpoint back = load_checkpoint(path("subnormal.json"));
+  EXPECT_EQ(std::memcmp(&back.cooldown_scale, &ck.cooldown_scale,
+                        sizeof(double)),
+            0);
+}
+
+TEST_F(SerializeTest, RetypedCheckpointFieldFailsToLoad) {
+  // A field of the wrong type must not load. The type check has to hold
+  // in Release, where an assert would read "next_epoch":"5" as epoch 0.
+  const std::string text = checkpoint_to_json(golden_checkpoint()).dump();
+  for (const std::string field :
+       {R"("next_epoch":5)", R"("adam_t":7)", R"("cooldown_scale":0.5)",
+        R"("resumed":false)", R"("cursor":2)"}) {
+    const std::size_t colon = field.find(':');
+    const std::string retyped = field.substr(0, colon + 1) + '"' +
+                                field.substr(colon + 1) + '"';
+    std::string bad = text;
+    const std::size_t at = bad.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    bad.replace(at, field.size(), retyped);
+    { std::ofstream(path("retyped.json")) << bad; }
+    EXPECT_THROW(load_checkpoint(path("retyped.json")), std::runtime_error)
+        << retyped;
+  }
+}
+
+TEST_F(SerializeTest, PredictorBytesMatchGolden) {
+  const predictors::MlpPredictor predictor(2, 3, /*seed=*/11, "mJ");
+  save_predictor(path("golden_predictor.json"), predictor);
+  const std::string bytes = read_bytes(path("golden_predictor.json"));
+  EXPECT_EQ(bytes.size(), kGoldenPredictorBytes);
+  EXPECT_EQ(fnv1a(bytes), kGoldenPredictorFnv);
+  EXPECT_EQ(bytes.substr(0, std::string(kGoldenPredictorHead).size()),
+            kGoldenPredictorHead);
+  EXPECT_EQ(predictor_to_json(predictor).dump(), bytes);
 }
 
 TEST_F(SerializeTest, MissingFileThrows) {
