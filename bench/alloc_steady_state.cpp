@@ -186,14 +186,12 @@ int main(int argc, char** argv) {
 
   // --- 1. zero-miss steady state: predictor training -------------------
   nn::PoolStats train_steady;
-  std::uint64_t warm_tape_hits = 0;
   {
     nn::PooledScope scope(nn::PoolMode::kFresh);
     run_training(space, data, throughput_epochs, batch, true, nullptr);
     const nn::PoolStats warm = scope.pool().stats();
     run_training(space, data, throughput_epochs, batch, true, nullptr);
     train_steady = scope.pool().stats() - warm;
-    warm_tape_hits = train_steady.tape_hits;
   }
   const bool train_zero_miss =
       train_steady.buffer_misses == 0 && train_steady.node_misses == 0;
@@ -203,16 +201,11 @@ int main(int argc, char** argv) {
               "(required 0)\n",
               static_cast<unsigned long long>(train_steady.buffer_misses),
               static_cast<unsigned long long>(train_steady.node_misses));
-  std::printf("  buffer hits: %llu   tape hits: %llu   recycled: %.1f MB\n",
+  std::printf("  buffer hits: %llu   recycled: %.1f MB\n",
               static_cast<unsigned long long>(train_steady.buffer_hits),
-              static_cast<unsigned long long>(train_steady.tape_hits),
               static_cast<double>(train_steady.bytes_recycled) / 1e6);
   if (!train_zero_miss) {
     std::printf("  FAIL: warmed pool still misses\n");
-    all_pass = false;
-  }
-  if (warm_tape_hits == 0) {
-    std::printf("  FAIL: no cached-tape reuse in fixed-topology training\n");
     all_pass = false;
   }
 
@@ -427,8 +420,6 @@ int main(int argc, char** argv) {
           io::Json(static_cast<std::size_t>(train_steady.buffer_misses)));
   out.set("steady_node_misses",
           io::Json(static_cast<std::size_t>(train_steady.node_misses)));
-  out.set("steady_tape_hits",
-          io::Json(static_cast<std::size_t>(train_steady.tape_hits)));
   out.set("train_zero_miss", io::Json(train_zero_miss));
   out.set("search_zero_miss", io::Json(search_zero_miss));
   out.set("bit_identical", io::Json(identity_pass));

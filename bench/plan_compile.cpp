@@ -1,10 +1,10 @@
 // Compiled-plan gate: the shape-specialized execution plan
-// (nn/plan.hpp) against the recycled-tape dynamic path.
+// (nn/plan.hpp) against the recycled-graph dynamic path.
 //
 // Gates (exit 1 on violation):
 //  - Throughput (full mode only): steady-state *planned* w-steps must be
-//    >= 1.3x the steps/s of the warmed dynamic path (pool + cached tape
-//    both active — the strongest dynamic configuration) at the paper's
+//    >= 1.3x the steps/s of the warmed dynamic path (buffer pool and
+//    node recycling both active — the strongest dynamic configuration) at the paper's
 //    embedded operating point (batch 8, fixed path), where Var/pool
 //    bookkeeping — not GEMM arithmetic — dominates a step.
 //  - Zero overhead (always enforced): once a plan is compiled, further
@@ -96,8 +96,7 @@ core::LightNasConfig trainer_config(bool planned) {
 }
 
 /// Fixed batch at the embedded operating point (batch 8): the plan-hit
-/// regime is a recurring (path, batch shape) key, exactly like the
-/// tape-hit regime of the dynamic path.
+/// regime is a recurring (path, batch shape) key.
 nn::Dataset make_batch(const nn::SyntheticTask& task, std::size_t rows) {
   nn::Dataset batch;
   batch.features =
@@ -266,7 +265,7 @@ int main(int argc, char** argv) {
     speedup = steps_per_s_planned / steps_per_s_dynamic;
 
     util::Table table({"path", "steps/s", "speedup", "gate"});
-    table.add_row({"dynamic (pool + tape)",
+    table.add_row({"dynamic (pooled)",
                    util::fmt_double(steps_per_s_dynamic, 1), "1.0",
                    "reference"});
     table.add_row({"planned", util::fmt_double(steps_per_s_planned, 1),
@@ -337,7 +336,7 @@ int main(int argc, char** argv) {
             nn::TensorPool::global_stats() - pool_before;
         exec_heap_allocs = g_heap_allocs.load(std::memory_order_relaxed);
         exec_pool_ops = pd.buffer_hits + pd.buffer_misses + pd.node_hits +
-                        pd.node_misses + pd.tape_hits + pd.tape_misses;
+                        pd.node_misses;
       }
     }
 

@@ -90,9 +90,7 @@ std::string RunHealth::summary() const {
     out << " pool{hit_rate=" << rate
         << " misses=" << pool_buffer_misses
         << " recycled_mb="
-        << static_cast<double>(pool_bytes_recycled) / (1 << 20)
-        << " tape_hits=" << pool_tape_hits
-        << " tape_misses=" << pool_tape_misses << "}";
+        << static_cast<double>(pool_bytes_recycled) / (1 << 20) << "}";
   }
   if (plan_hits + plan_misses + plan_compiles > 0) {
     out << " plan{hits=" << plan_hits << " misses=" << plan_misses
@@ -151,9 +149,8 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
   // every backward pass) dispatch through this scope; the trajectory is
   // bit-identical for any thread count.
   const nn::ParallelScope parallel_scope(config_.parallel);
-  // Memory-reuse layer: buffers, Var nodes, and the backward tape
-  // recycle through the active TensorPool (inherited from the caller
-  // when one is installed). Pure buffer recycling — the trajectory is
+  // Memory-reuse layer: buffers and Var nodes recycle through the
+  // active TensorPool (inherited from the caller when one is installed). Pure buffer recycling — the trajectory is
   // bit-identical with pooling on or off.
   nn::PooledScope pool_scope(config_.pool_tensors ? nn::PoolMode::kInherit
                                                   : nn::PoolMode::kDisabled);
@@ -486,8 +483,6 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
     result.health.pool_buffer_hits = used.buffer_hits;
     result.health.pool_buffer_misses = used.buffer_misses;
     result.health.pool_bytes_recycled = used.bytes_recycled;
-    result.health.pool_tape_hits = used.tape_hits;
-    result.health.pool_tape_misses = used.tape_misses;
   }
   {
     const nn::plan::PlanStats used = nn::plan::global_stats() - plan_start;

@@ -106,20 +106,20 @@ struct LightNasConfig {
   /// freely across --threads settings.
   const nn::ParallelContext* parallel = nullptr;
 
-  /// Recycle tensor buffers, autograd nodes, and the backward tape
-  /// through a nn::TensorPool for the duration of the run (inheriting a
-  /// caller-installed pool when one is active). Steady-state steps then
+  /// Recycle tensor buffers and autograd nodes through a nn::TensorPool
+  /// for the duration of the run (inheriting a caller-installed pool
+  /// when one is active). Steady-state steps then
   /// perform zero allocations. Pooling only changes where buffers live,
   /// never their contents: trajectories are bit-identical on vs off.
   bool pool_tensors = true;
 
   /// Execution-plan compilation of repeated w-step graphs (nn/plan.hpp):
   /// after `plan.compile_after` structural hits on one (op_choice, batch
-  /// shape) key, the recycled autograd tape is lowered into a
+  /// shape) key, the step's recorded autograd graph is lowered into a
   /// shape-specialized plan and subsequent hits run it instead of the
   /// dynamic graph. Planned and dynamic steps are bit-identical, so this
   /// is purely a throughput knob. Disabled by default to keep the seed
-  /// counter telemetry (tape/pool hit rates) unchanged; enable with
+  /// counter telemetry (pool hit rates) unchanged; enable with
   /// LIGHTNAS_PLAN=on|N (applied here via from_env) or the CLI's --plan.
   nn::plan::PlanSettings plan = nn::plan::PlanSettings::from_env([] {
     nn::plan::PlanSettings base;
@@ -188,14 +188,12 @@ struct RunHealth {
   std::size_t measurement_retries = 0;
   std::size_t measurements_rejected = 0;
   /// Allocation telemetry of this run's TensorPool (all zero when
-  /// pooling was disabled): buffer/tape recycling counters accumulated
+  /// pooling was disabled): buffer recycling counters accumulated
   /// between search() entry and exit. In a healthy steady state the
   /// miss counters stop growing after the first epochs.
   std::uint64_t pool_buffer_hits = 0;
   std::uint64_t pool_buffer_misses = 0;
   std::uint64_t pool_bytes_recycled = 0;
-  std::uint64_t pool_tape_hits = 0;
-  std::uint64_t pool_tape_misses = 0;
   /// Execution-plan telemetry (all zero when plans are disabled):
   /// planned-step executions, dynamic fallbacks, compilations, fused
   /// kernel records, and static arena bytes across this run's plans.

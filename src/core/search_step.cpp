@@ -173,9 +173,6 @@ double SharedWTrainer::step(const nn::Dataset& batch,
     plan_inputs_[0] = &batch.features;
     plan_labels_[0] = &batch.labels;
     if (plan->execute(plan_inputs_, plan_labels_, ctx)) {
-      // The graph was never built, so drop the (empty) construction log
-      // and advance the tape generation before the optimizer runs.
-      nn::discard_tape_log();
       w_optimizer_.set_lr(w_schedule_.lr_at(step_counter_++));
       if (plan != active_plan_) rebuild_plan_active(plan);
       if (plan_active_valid_) {

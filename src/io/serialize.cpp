@@ -127,8 +127,6 @@ Json health_to_json(const core::RunHealth& health) {
   json.set("pool_buffer_hits", Json(health.pool_buffer_hits));
   json.set("pool_buffer_misses", Json(health.pool_buffer_misses));
   json.set("pool_bytes_recycled", Json(health.pool_bytes_recycled));
-  json.set("pool_tape_hits", Json(health.pool_tape_hits));
-  json.set("pool_tape_misses", Json(health.pool_tape_misses));
   json.set("plan_hits", Json(health.plan_hits));
   json.set("plan_misses", Json(health.plan_misses));
   json.set("plan_compiles", Json(health.plan_compiles));
@@ -162,7 +160,9 @@ core::RunHealth health_from_json(const Json& json) {
   health.measurements_rejected = static_cast<std::size_t>(
       json.at("measurements_rejected").as_number());
   // Pool telemetry arrived after the first checkpoint format; tolerate
-  // its absence so old checkpoints stay loadable.
+  // its absence so old checkpoints stay loadable. Files written before
+  // backward() lost its tape cache also carry two tape counters; they
+  // are ignored.
   if (json.contains("pool_buffer_hits")) {
     health.pool_buffer_hits =
         static_cast<std::uint64_t>(json.at("pool_buffer_hits").as_number());
@@ -170,10 +170,6 @@ core::RunHealth health_from_json(const Json& json) {
         json.at("pool_buffer_misses").as_number());
     health.pool_bytes_recycled = static_cast<std::uint64_t>(
         json.at("pool_bytes_recycled").as_number());
-    health.pool_tape_hits =
-        static_cast<std::uint64_t>(json.at("pool_tape_hits").as_number());
-    health.pool_tape_misses =
-        static_cast<std::uint64_t>(json.at("pool_tape_misses").as_number());
   }
   // Plan telemetry is newer still; same tolerance.
   if (json.contains("plan_hits")) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <new>
@@ -77,12 +76,6 @@ class BackwardFn {
 
   void operator()(Var& node) { ops_->invoke(storage_, node); }
 
-  /// Identity of the held closure *type* (null when empty). Each op's
-  /// backward lambda is a distinct type, so this distinguishes e.g. a
-  /// relu node from a sigmoid node even when the graph wiring matches —
-  /// it is the op component of the tape cache's structural fingerprint.
-  const void* type_tag() const { return ops_; }
-
  private:
   struct OpsTable {
     void (*invoke)(void* storage, Var& node);
@@ -140,13 +133,6 @@ struct Var {
   /// Optional label for debugging / gradcheck diagnostics.
   std::string name;
 
-  /// Tape-cache bookkeeping (see autograd.cpp): the construction-log
-  /// generation that created this node and its position in that log.
-  /// 0 means "not part of the current generation" — recycling scrubs
-  /// the stamp, so a reused node is always re-stamped on creation.
-  std::uint64_t creation_gen = 0;
-  std::uint32_t creation_index = 0;
-
   void ensure_grad();
   void zero_grad();
 };
@@ -159,36 +145,21 @@ VarPtr make_const(Tensor value, std::string name = {});
 
 /// Create an interior node wired to `parents`. `backward_fn` is kept
 /// only if some parent requires a gradient. This is the single Var
-/// construction path for all ops: it draws the node from the recycling
-/// free list and records the creation in the tape log (both no-ops
-/// without an active TensorPool).
+/// construction path for all ops: with an active TensorPool it draws
+/// the node from the recycling free list.
 VarPtr make_node(Tensor value, std::initializer_list<VarPtr> parents,
                  BackwardFn backward_fn);
 VarPtr make_node(Tensor value, const std::vector<VarPtr>& parents,
                  BackwardFn backward_fn);
 
 /// Run reverse-mode accumulation from `root`, which must be a scalar
-/// (1x1) Var. Seeds d(root)/d(root) = 1 and visits the graph in reverse
-/// topological order. Gradients *accumulate* into leaves; call
-/// `zero_grad` on parameters between steps.
-///
-/// With an active TensorPool the reverse order is served from a cached
-/// tape when the step rebuilt a graph structurally identical to the
-/// previous step's: same creation order, same wiring (parents referenced
-/// by same-generation position, persistent nodes by address), same op
-/// types, same root. A changed op choice, batch shape, or topology
-/// always invalidates. Tape reuse changes only the scheduling lookup
-/// cost, never the visit order, so gradients stay bit-identical.
+/// (1x1) Var. Seeds d(root)/d(root) = 1, orders the graph by one
+/// post-order DFS (parents in order, each before its children) and runs
+/// every node's backward closure in the reverse of that order. The same
+/// body serves pooled and unpooled graphs, so their gradients are
+/// bit-identical. Gradients *accumulate* into leaves; call `zero_grad`
+/// on parameters between steps.
 void backward(const VarPtr& root);
-
-/// Drop any construction-log entries accumulated since the last pooled
-/// backward() and advance the generation, leaving the cached tape and
-/// the previous step's reference log intact. Called after a step that
-/// bypassed the graph entirely (a compiled execution plan, see
-/// plan.hpp): the next dynamic step then fingerprints only its own
-/// creations, so tape reuse keeps working across planned/dynamic
-/// interleavings. No-op without an active TensorPool.
-void discard_tape_log();
 
 /// Number of nodes reachable from `root` (diagnostics / tests).
 std::size_t graph_size(const VarPtr& root);

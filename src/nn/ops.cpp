@@ -11,7 +11,7 @@ namespace lightnas::nn::ops {
 
 namespace {
 
-// Var construction (node recycling + tape logging) lives in
+// Var construction (node recycling) lives in
 // nn::make_node — see autograd.hpp.
 
 /// Whether a backward closure computes `p`'s gradient at all. A Var that

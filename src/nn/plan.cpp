@@ -815,7 +815,7 @@ struct Compiler {
     order.reserve(lops.size());
     postorder(prog.root, visited, order);
 
-    // Seed d(root)/d(root) = 1, exactly as run_tape fills the root grad.
+    // Seed d(root)/d(root) = 1, exactly as nn::backward fills the root grad.
     {
       const Ref rg = grad_ref(prog.root);
       if (rg.space == Space::kArena) grad_first_done[rg.id] = true;

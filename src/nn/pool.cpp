@@ -25,8 +25,6 @@ struct GlobalCounters {
   util::Counter bytes_recycled;
   util::Counter node_hits;
   util::Counter node_misses;
-  util::Counter tape_hits;
-  util::Counter tape_misses;
 };
 
 GlobalCounters& global_counters() {
@@ -62,8 +60,6 @@ PoolStats PoolStats::operator-(const PoolStats& other) const {
   d.bytes_recycled = bytes_recycled - other.bytes_recycled;
   d.node_hits = node_hits - other.node_hits;
   d.node_misses = node_misses - other.node_misses;
-  d.tape_hits = tape_hits - other.tape_hits;
-  d.tape_misses = tape_misses - other.tape_misses;
   return d;
 }
 
@@ -73,8 +69,7 @@ std::string PoolStats::to_string() const {
   oss << "buf_hit=" << buffer_hits << " buf_miss=" << buffer_misses
       << " hit_rate=" << buffer_hit_rate()
       << " recycled_mb=" << static_cast<double>(bytes_recycled) / (1 << 20)
-      << " node_hit=" << node_hits << " node_miss=" << node_misses
-      << " tape_hit=" << tape_hits << " tape_miss=" << tape_misses;
+      << " node_hit=" << node_hits << " node_miss=" << node_misses;
   return oss.str();
 }
 
@@ -130,16 +125,6 @@ void TensorPool::note_node_miss() {
   global_counters().node_misses.add();
 }
 
-void TensorPool::note_tape_hit() {
-  ++stats_.tape_hits;
-  global_counters().tape_hits.add();
-}
-
-void TensorPool::note_tape_miss() {
-  ++stats_.tape_misses;
-  global_counters().tape_misses.add();
-}
-
 TensorPool* TensorPool::active() { return tl_active_pool; }
 
 PoolStats TensorPool::global_stats() {
@@ -150,8 +135,6 @@ PoolStats TensorPool::global_stats() {
   stats.bytes_recycled = counters.bytes_recycled.value();
   stats.node_hits = counters.node_hits.value();
   stats.node_misses = counters.node_misses.value();
-  stats.tape_hits = counters.tape_hits.value();
-  stats.tape_misses = counters.tape_misses.value();
   return stats;
 }
 

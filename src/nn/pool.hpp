@@ -13,17 +13,16 @@ namespace lightnas::nn {
 /// Allocation-telemetry counters of the memory-reuse layer. A "buffer"
 /// event is one Tensor storage acquisition (hit = recycled from a free
 /// list, miss = fresh heap allocation); a "node" event is one autograd
-/// Var acquisition; a "tape" event is one backward() call (hit = the
-/// cached reverse-topological order was reused, miss = it was rebuilt).
-/// In the steady state of a fixed-shape training loop every counter but
-/// the hit counters should stop moving — bench/alloc_steady_state gates
-/// exactly that.
+/// Var acquisition. In the steady state of a fixed-shape training loop
+/// every counter but the hit counters should stop moving —
+/// bench/alloc_steady_state gates exactly that.
 struct PoolStats {
   std::uint64_t buffer_hits = 0;
   std::uint64_t buffer_misses = 0;
   std::uint64_t bytes_recycled = 0;
   std::uint64_t node_hits = 0;
   std::uint64_t node_misses = 0;
+  /// Always 0: backward() caches no tape. Kept for report readers.
   std::uint64_t tape_hits = 0;
   std::uint64_t tape_misses = 0;
 
@@ -39,7 +38,7 @@ struct PoolStats {
 };
 
 /// Shape-bucketed free-list pool for Tensor storage plus the counters
-/// for Var-node and tape recycling.
+/// for Var-node recycling.
 ///
 /// A pool is *thread-confined*: it is installed on the current thread
 /// with a PooledScope and consulted through TensorPool::active() by the
@@ -89,8 +88,6 @@ class TensorPool {
   // -- called by the autograd layer -----------------------------------
   void note_node_hit();
   void note_node_miss();
-  void note_tape_hit();
-  void note_tape_miss();
 
   /// The pool installed on this thread by the innermost PooledScope
   /// (null when none is active — all pooling is then bypassed).
@@ -101,8 +98,6 @@ class TensorPool {
   static PoolStats global_stats();
 
  private:
-  void bump_global(std::uint64_t PoolStats::*field, std::uint64_t n);
-
   std::unordered_map<std::size_t, std::vector<AlignedVector>> buckets_;
   std::size_t free_bytes_ = 0;
   std::size_t free_count_ = 0;

@@ -27,8 +27,23 @@ MlpPredictor::MlpPredictor(std::size_t num_layers, std::size_t num_ops,
 
 double MlpPredictor::train(const MeasurementDataset& data,
                            const MlpTrainConfig& config) {
-  assert(data.size() >= 2);
-  assert(config.batch_size > 0);
+  // Checked in every build: a zero batch size would never advance the
+  // batch loop below, and an encoding of the wrong width would leave
+  // part of its row unset or write past it.
+  if (config.batch_size == 0) {
+    throw std::invalid_argument("MlpPredictor::train: batch size must be > 0");
+  }
+  if (data.size() < 2 || data.encodings.size() != data.size()) {
+    throw std::invalid_argument(
+        "MlpPredictor::train: need at least 2 samples, one encoding each");
+  }
+  for (const std::vector<float>& enc : data.encodings) {
+    if (enc.size() != input_dim()) {
+      throw std::invalid_argument(
+          "MlpPredictor::train: encoding width does not match the "
+          "predictor's input");
+    }
+  }
 
   // Route every kernel in the loop (forward, backward, bias/ReLU)
   // through the configured parallel context for the duration of train().
@@ -68,7 +83,6 @@ double MlpPredictor::train(const MeasurementDataset& data,
       for (std::size_t r = 0; r < rows; ++r) {
         const std::size_t idx = order[start + r];
         const std::vector<float>& enc = data.encodings[idx];
-        assert(enc.size() == input_dim());
         std::copy(enc.begin(), enc.end(),
                   x.data().begin() +
                       static_cast<std::ptrdiff_t>(r * input_dim()));

@@ -52,7 +52,9 @@ class MlpPredictor : public HardwarePredictor {
   std::size_t input_dim() const { return num_layers_ * num_ops_; }
 
   /// Train on measurement data; returns the final epoch's training MSE
-  /// (in standardized units; diagnostics only).
+  /// (in standardized units; diagnostics only). Throws
+  /// std::invalid_argument for a zero batch size, fewer than two
+  /// samples, or an encoding whose width is not input_dim().
   double train(const MeasurementDataset& data, const MlpTrainConfig& config);
 
   /// Point prediction in the target's unit.

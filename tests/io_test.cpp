@@ -370,7 +370,7 @@ constexpr const char* kGoldenCheckpoint =
     R"(ements_rejected":0,"plan_arena_bytes":1000000000000000,"plan_compi)"
     R"(les":0,"plan_fused_ops":0,"plan_hits":0,"plan_misses":0,"pool_buff)"
     R"(er_hits":0,"pool_buffer_misses":0,"pool_bytes_recycled":9999999999)"
-    R"(99999,"pool_tape_hits":0,"pool_tape_misses":0,"resumed":false,"res)"
+    R"(99999,"resumed":false,"res)"
     R"(umed_from_epoch":0,"rollbacks":1},"kind":"lightnas.checkpoint","la)"
     R"(mbdas":[0.12345678901234568,-0],"next_epoch":5,"rng":{"cached_norm)"
     R"(al":-1.2345678901234567,"have_cached_normal":true,"s":["0000000000)"
@@ -417,6 +417,47 @@ TEST_F(SerializeTest, CheckpointBytesMatchGolden) {
   const std::string bytes = read_bytes(path("golden.json"));
   EXPECT_EQ(bytes, kGoldenCheckpoint);
   EXPECT_EQ(checkpoint_to_json(ck).dump(), bytes);
+}
+
+// A run-health record as this build writes it: pool telemetry without
+// the two tape counters that files from before the tape cache's removal
+// carry.
+constexpr const char* kHealthJson =
+    R"({"aborted_early":false,"completed_epochs":5,"events":[],)"
+    R"("interrupted":false,"measurement_retries":2,)"
+    R"("measurements_rejected":1,"plan_arena_bytes":0,"plan_compiles":0,)"
+    R"("plan_fused_ops":0,"plan_hits":0,"plan_misses":0,)"
+    R"("pool_buffer_hits":700,"pool_buffer_misses":30,)"
+    R"("pool_bytes_recycled":4096,"resumed":false,"resumed_from_epoch":0,)"
+    R"("rollbacks":1})";
+
+void expect_health_fields(const core::RunHealth& health) {
+  EXPECT_EQ(health.rollbacks, 1u);
+  EXPECT_EQ(health.completed_epochs, 5u);
+  EXPECT_EQ(health.measurement_retries, 2u);
+  EXPECT_EQ(health.measurements_rejected, 1u);
+  EXPECT_EQ(health.pool_buffer_hits, 700u);
+  EXPECT_EQ(health.pool_buffer_misses, 30u);
+  EXPECT_EQ(health.pool_bytes_recycled, 4096u);
+}
+
+TEST_F(SerializeTest, HealthWithoutTapeCountersLoads) {
+  const Json json = Json::parse(kHealthJson);
+  const core::RunHealth health = detail::health_from_json(json);
+  expect_health_fields(health);
+  EXPECT_EQ(detail::health_to_json(health).dump(), json.dump());
+}
+
+TEST_F(SerializeTest, HealthWithLegacyTapeCountersLoads) {
+  Json json = Json::parse(kHealthJson);
+  for (const char* counter : {"tape_hits", "tape_misses"}) {
+    json.set(std::string("pool_") + counter, Json(9));
+  }
+  const core::RunHealth health = detail::health_from_json(json);
+  expect_health_fields(health);
+  // The legacy counters are read past, not written back.
+  EXPECT_EQ(detail::health_to_json(health).dump(),
+            Json::parse(kHealthJson).dump());
 }
 
 TEST_F(SerializeTest, SubnormalCheckpointFieldReloadsBitExact) {

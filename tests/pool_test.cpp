@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -137,53 +138,97 @@ VarPtr tiny_loss(const VarPtr& w, const Tensor& x, bool alternate_op) {
   return ops::mean_all(h);
 }
 
-TEST(GraphRecyclingTest, SteadyStateStepsReuseNodesAndTape) {
+/// Diamond: `h` feeds two branches that rejoin, so backward() adds two
+/// gradients into it, in the order its single DFS visits the branches.
+VarPtr diamond_loss(const VarPtr& w, const Tensor& x) {
+  const VarPtr h = ops::matmul(make_const(x), w);
+  return ops::mean_all(ops::add(ops::relu(h), ops::sigmoid(h)));
+}
+
+/// Deterministic values of both signs, so relu masks some entries.
+Tensor ramp(std::size_t rows, std::size_t cols, float step, float offset) {
+  Tensor t(rows, cols);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t[i] = offset + step * static_cast<float>(i % 7);
+  }
+  return t;
+}
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) && a.size() == b.size() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+/// The gradient one step of `loss` leaves in `w0` with pooling off.
+template <typename Loss>
+Tensor unpooled_grad(const Tensor& w0, const Loss& loss) {
+  PooledScope off(PoolMode::kDisabled);
+  VarPtr w = make_leaf(w0, "w");
+  backward(loss(w));
+  return w->grad;
+}
+
+TEST(GraphRecyclingTest, OpChoiceAlternationIsBitIdenticalToUnpooled) {
+  const Tensor w0 = ramp(4, 3, 0.35f, -0.8f);
+  const Tensor x = ramp(2, 4, 0.3f, -0.5f);
+  const Tensor want[2] = {
+      unpooled_grad(w0,
+                    [&](const VarPtr& w) { return tiny_loss(w, x, false); }),
+      unpooled_grad(w0,
+                    [&](const VarPtr& w) { return tiny_loss(w, x, true); })};
+  ASSERT_FALSE(bit_equal(want[0], want[1]));
+
   PooledScope scope(PoolMode::kFresh);
-  VarPtr w = make_leaf(Tensor(4, 3, 0.5f), "w");
-  const Tensor x(2, 4, 1.0f);
-
-  // Warmup: step 1 allocates everything; step 2 still misses the tape
-  // because step 1's construction log includes the leaf creation.
-  backward(tiny_loss(w, x, false));
-  w->zero_grad();
-  backward(tiny_loss(w, x, false));
-  const PoolStats warm = scope.pool().stats();
-  EXPECT_EQ(warm.tape_hits, 0u);
-  EXPECT_EQ(warm.tape_misses, 2u);
-
-  // Two steady steps: identical topology -> recycled nodes, cached tape,
-  // and zero fresh buffers.
-  for (int step = 0; step < 2; ++step) {
+  VarPtr w = make_leaf(w0, "w");
+  // Warm both op choices (relu, then sigmoid) so every buffer size and
+  // node count has been seen once.
+  for (const bool sigmoid : {false, true}) {
     w->zero_grad();
-    backward(tiny_loss(w, x, false));
+    backward(tiny_loss(w, x, sigmoid));
+  }
+  const PoolStats warm = scope.pool().stats();
+
+  // A mid-search op-choice flip at the same shapes, every step.
+  for (int step = 0; step < 6; ++step) {
+    const bool sigmoid = step % 2 == 1;
+    w->zero_grad();
+    backward(tiny_loss(w, x, sigmoid));
+    ASSERT_TRUE(bit_equal(w->grad, want[sigmoid ? 1 : 0]))
+        << "step " << step;
   }
   const PoolStats steady = scope.pool().stats() - warm;
   EXPECT_EQ(steady.buffer_misses, 0u);
   EXPECT_EQ(steady.node_misses, 0u);
   EXPECT_GT(steady.node_hits, 0u);
-  EXPECT_EQ(steady.tape_hits, 2u);
-  EXPECT_EQ(steady.tape_misses, 0u);
 }
 
-TEST(GraphRecyclingTest, TapeInvalidatesWhenOpChoiceChanges) {
+TEST(GraphRecyclingTest, DiamondGraphIsBitIdenticalToUnpooled) {
+  const Tensor w0 = ramp(4, 3, 0.35f, -0.8f);
+  const Tensor x = ramp(2, 4, 0.3f, -0.5f);
+  const auto loss = [&](const VarPtr& w) { return diamond_loss(w, x); };
+  const Tensor want = unpooled_grad(w0, loss);
+
   PooledScope scope(PoolMode::kFresh);
-  VarPtr w = make_leaf(Tensor(4, 3, 0.5f), "w");
-  const Tensor x(2, 4, 1.0f);
+  VarPtr w = make_leaf(w0, "w");
+  {
+    const VarPtr root = loss(w);
+    // x, w, h, relu, sigmoid, add, mean: the shared `h` counts once.
+    EXPECT_EQ(graph_size(root), 7u);
+    backward(root);
+  }
+  ASSERT_TRUE(bit_equal(w->grad, want));
+  const PoolStats warm = scope.pool().stats();
 
   for (int step = 0; step < 3; ++step) {
-    backward(tiny_loss(w, x, false));
     w->zero_grad();
+    backward(loss(w));
+    ASSERT_TRUE(bit_equal(w->grad, want)) << "step " << step;
   }
-  const PoolStats before = scope.pool().stats();
-  ASSERT_EQ(before.tape_hits, 1u);  // steps 1-2 log-mismatch, 3 hits
-
-  // Mid-search op-choice flip (relu -> sigmoid): same shapes, different
-  // wiring. The tape must rebuild, not silently replay the stale order.
-  w->zero_grad();
-  backward(tiny_loss(w, x, true));
-  const PoolStats after = scope.pool().stats() - before;
-  EXPECT_EQ(after.tape_hits, 0u);
-  EXPECT_EQ(after.tape_misses, 1u);
+  const PoolStats steady = scope.pool().stats() - warm;
+  EXPECT_EQ(steady.buffer_misses, 0u);
+  EXPECT_EQ(steady.node_misses, 0u);
+  EXPECT_GT(steady.node_hits, 0u);
 }
 
 TEST(GraphRecyclingTest, RecycledNodesStartWithZeroedGrads) {
@@ -322,15 +367,9 @@ TEST_F(PoolIdentityTest, SearchTrajectoryIsBitIdenticalPooledVsUnpooled) {
   const core::SearchResult unpooled = run_search(false, nullptr);
   const core::SearchResult pooled = run_search(true, nullptr);
   expect_identical(unpooled, pooled);
-  // The pooled run must actually have recycled buffers. Tape *hits* are
-  // not expected here: each w-step samples a fresh path through the
-  // supernet, so consecutive graphs reference different weight leaves —
-  // a real structural change the fingerprint must treat as a miss
-  // (replaying the old path's tape would skip the new path's leaves).
+  // The pooled run must actually have recycled buffers.
   EXPECT_GT(pooled.health.pool_buffer_hits, 0u);
-  EXPECT_GT(pooled.health.pool_tape_misses, 0u);
   EXPECT_EQ(unpooled.health.pool_buffer_hits, 0u);
-  EXPECT_EQ(unpooled.health.pool_tape_misses, 0u);
 }
 
 TEST_F(PoolIdentityTest, PooledThreadedSearchMatchesSerialUnpooled) {
@@ -368,10 +407,7 @@ TEST_F(PoolIdentityTest, TrainedPredictorWeightsAreBitIdentical) {
   const PoolStats before = TensorPool::global_stats();
   const auto pooled = train(true, nullptr);
   const PoolStats delta = TensorPool::global_stats() - before;
-  // Fixed-topology training is where the cached tape earns its keep:
-  // every same-shape step after the first two replays the cached order.
   EXPECT_GT(delta.buffer_hits, 0u);
-  EXPECT_GT(delta.tape_hits, 0u);
   const auto pooled_threaded = train(true, &ctx);
 
   ASSERT_EQ(unpooled.tensors.size(), pooled.tensors.size());

@@ -119,6 +119,35 @@ TEST_F(PredictorTest, FromStateRejectsInconsistentStateBlobs) {
   EXPECT_THROW(MlpPredictor::from_state(bad_shape), std::runtime_error);
 }
 
+// Regression: these checks were asserts, so a Release build with batch
+// size 0 spun forever in the batch loop (`start += 0`), and a one-sample
+// or narrow-encoding dataset went unchecked. Every build must reject them.
+TEST_F(PredictorTest, TrainRejectsBadInputInEveryBuild) {
+  util::Rng rng(4);
+  const MeasurementDataset data = build_measurement_dataset(
+      space_, device_, 8, Metric::kLatencyMs, rng);
+  MlpPredictor predictor(space_.num_layers(), space_.num_ops(), 7);
+  MlpTrainConfig config;
+  config.epochs = 1;
+
+  config.batch_size = 0;
+  EXPECT_THROW(predictor.train(data, config), std::invalid_argument);
+  config.batch_size = 4;
+
+  MeasurementDataset one = data;
+  one.architectures.resize(1);
+  one.encodings.resize(1);
+  one.targets.resize(1);
+  EXPECT_THROW(predictor.train(one, config), std::invalid_argument);
+
+  MeasurementDataset narrow = data;
+  narrow.encodings.back().pop_back();
+  EXPECT_THROW(predictor.train(narrow, config), std::invalid_argument);
+
+  EXPECT_FALSE(predictor.is_trained());
+  EXPECT_NO_THROW(predictor.train(data, config));
+}
+
 TEST_F(PredictorTest, MlpIsDifferentiableWrtEncoding) {
   util::Rng rng(6);
   const MeasurementDataset data = build_measurement_dataset(

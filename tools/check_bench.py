@@ -19,16 +19,17 @@ should not break the build — but a *missing* known key fails, which is
 what catches a bench silently dropping telemetry.
 
 Usage: check_bench.py [dir ...]
-  Scans each directory (default: the repo root containing this script's
-  parent, then the current directory) for BENCH_*.json. Exits non-zero
-  on any validation failure or if no BENCH file is found anywhere.
+  Scans each directory (default: the current directory) for
+  BENCH_*.json; ctest passes <build>/bench, where the bench smoke tests
+  write. Exits non-zero on any validation failure or if no BENCH file is
+  found anywhere.
 """
 
 import json
 import os
 import sys
 
-BOOL, NUM, STR, LIST = "bool", "num", "str", "list"
+BOOL, NUM, STR, LIST, OBJECT = "bool", "num", "str", "list", "object"
 
 # Gate values: True means "boolean key that must be true".
 # A set of strings means "string key whose value must be in the set".
@@ -102,7 +103,6 @@ SCHEMAS = {
             "pool_hit_rate": NUM,
             "steady_buffer_misses": NUM,
             "steady_node_misses": NUM,
-            "steady_tape_hits": NUM,
             "peak_rss_bytes": NUM,
         },
         "gates": {
@@ -122,7 +122,7 @@ SCHEMAS = {
             "default_isa": STR,
             "peak_gflops": NUM,
             "bandwidth_gbs": NUM,
-            "kernels": LIST,
+            "kernels": OBJECT,  # keyed by kernel name
             "matmul_speedup": NUM,
         },
         "gates": {
@@ -199,6 +199,8 @@ def type_ok(value, tag):
         return isinstance(value, str)
     if tag == LIST:
         return isinstance(value, list)
+    if tag == OBJECT:
+        return isinstance(value, dict)
     raise AssertionError(f"unknown type tag {tag}")
 
 
@@ -263,8 +265,7 @@ def check_file(path, errors):
 
 
 def main(argv):
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    dirs = argv[1:] or [repo_root, os.getcwd()]
+    dirs = argv[1:] or [os.getcwd()]
     seen = set()
     errors = []
     checked_files = 0

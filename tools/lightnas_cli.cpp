@@ -646,7 +646,7 @@ void print_usage() {
       "                  faster but changes rounding (opt-in)\n"
       "  --tensor-pool 0|1  recycle tensor buffers / autograd graphs\n"
       "                  (default 1; results are bit-identical)\n"
-      "  --plan off|on|N  compile recycled autograd tapes into shape-\n"
+      "  --plan off|on|N  compile recycled autograd graphs into shape-\n"
       "                  specialized execution plans (search/campaign;\n"
       "                  N = compile after N structural hits, default 3;\n"
       "                  default off; env LIGHTNAS_PLAN sets the same,\n"
