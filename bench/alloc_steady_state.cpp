@@ -8,8 +8,7 @@
 //    search run stops adding buffer misses after its first post-warmup
 //    epochs (the last quarter of epochs must add none).
 //  - Bit-identity (always enforced): search trajectories and trained
-//    predictor weights are bit-identical with pooling on or off, at 1
-//    and 4 GEMM threads.
+//    predictor weights are bit-identical with pooling on or off.
 //  - Throughput (full mode only): steady-state pooled *search* steps
 //    must be >= 1.3x the steps/s of the pooling-disabled arm at the
 //    paper's small-batch operating point (batch 8), where allocator and
@@ -23,9 +22,10 @@
 //    cost is dominated by O(params) weight-gradient GEMMs and Adam
 //    updates, so buffer recycling is neutral-to-mildly-positive there
 //    (~1.05-1.10x) — see EXPERIMENTS.md. Skipped in `--smoke` /
-//    LIGHTNAS_FAST runs, mirroring train_throughput.
+//    LIGHTNAS_FAST runs.
 //
-// Results are also emitted machine-readably to BENCH_alloc.json.
+// Results are also emitted machine-readably to BENCH_alloc.json; the
+// timed readings are null (with "measured": false) in smoke runs.
 
 #include <sys/resource.h>
 
@@ -41,7 +41,6 @@
 #include "core/lightnas.hpp"
 #include "hw/cost_model.hpp"
 #include "io/json.hpp"
-#include "nn/parallel.hpp"
 #include "nn/pool.hpp"
 #include "predictors/mlp_predictor.hpp"
 #include "util/table.hpp"
@@ -87,15 +86,13 @@ struct TrainRun {
 
 TrainRun run_training(const space::SearchSpace& space,
                       const predictors::MeasurementDataset& data,
-                      std::size_t epochs, std::size_t batch, bool pooled,
-                      const nn::ParallelContext* parallel) {
+                      std::size_t epochs, std::size_t batch, bool pooled) {
   predictors::MlpPredictor predictor(space.num_layers(), space.num_ops(),
                                      /*seed=*/7);
   predictors::MlpTrainConfig config;
   config.epochs = epochs;
   config.batch_size = batch;
   config.pool_tensors = pooled;
-  config.parallel = parallel;
   const double start = now_seconds();
   predictor.train(data, config);
   TrainRun run;
@@ -113,8 +110,7 @@ bool states_identical(const predictors::MlpPredictor::State& a,
   return a.target_mean == b.target_mean && a.target_std == b.target_std;
 }
 
-core::LightNasConfig search_config(bool smoke, bool pooled,
-                                   const nn::ParallelContext* parallel) {
+core::LightNasConfig search_config(bool smoke, bool pooled) {
   core::LightNasConfig config;
   config.seed = 3;
   config.epochs = smoke ? 4 : 8;
@@ -124,7 +120,6 @@ core::LightNasConfig search_config(bool smoke, bool pooled,
   config.batch_size = smoke ? 16 : 32;
   config.target = 24.0;
   config.pool_tensors = pooled;
-  config.parallel = parallel;
   return config;
 }
 
@@ -188,9 +183,9 @@ int main(int argc, char** argv) {
   nn::PoolStats train_steady;
   {
     nn::PooledScope scope(nn::PoolMode::kFresh);
-    run_training(space, data, throughput_epochs, batch, true, nullptr);
+    run_training(space, data, throughput_epochs, batch, true);
     const nn::PoolStats warm = scope.pool().stats();
-    run_training(space, data, throughput_epochs, batch, true, nullptr);
+    run_training(space, data, throughput_epochs, batch, true);
     train_steady = scope.pool().stats() - warm;
   }
   const bool train_zero_miss =
@@ -211,7 +206,7 @@ int main(int argc, char** argv) {
 
   // The predictor + task used by the search sections below.
   predictors::MlpPredictor predictor = predictors::MlpPredictor::from_state(
-      run_training(space, data, smoke ? 4 : 8, 64, true, nullptr).state);
+      run_training(space, data, smoke ? 4 : 8, 64, true).state);
   nn::SyntheticTaskConfig task_config;
   task_config.train_size = smoke ? 512 : 2048;
   const nn::SyntheticTask task = nn::make_synthetic_task(task_config);
@@ -239,19 +234,17 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < 3; ++rep) {
       unpooled_seconds = std::min(
           unpooled_seconds,
-          run_training(space, data, throughput_epochs, batch, false, nullptr)
-              .seconds);
+          run_training(space, data, throughput_epochs, batch, false).seconds);
     }
     double pooled_seconds = 1e300;
     {
       nn::PooledScope scope(nn::PoolMode::kFresh);
-      run_training(space, data, throughput_epochs, batch, true, nullptr);
+      run_training(space, data, throughput_epochs, batch, true);
       const nn::PoolStats warm = scope.pool().stats();
       for (int rep = 0; rep < 3; ++rep) {
         pooled_seconds = std::min(
             pooled_seconds,
-            run_training(space, data, throughput_epochs, batch, true, nullptr)
-                .seconds);
+            run_training(space, data, throughput_epochs, batch, true).seconds);
       }
       const nn::PoolStats timed = scope.pool().stats() - warm;
       hit_rate = timed.buffer_hit_rate();
@@ -332,7 +325,7 @@ int main(int argc, char** argv) {
   {
     nn::PooledScope scope(nn::PoolMode::kFresh);
     core::LightNas engine(space, predictor, task, core::SupernetConfig{},
-                          search_config(smoke, true, nullptr));
+                          search_config(smoke, true));
     core::SearchHooks hooks;
     hooks.checkpoint_every = 1;
     hooks.on_checkpoint = [&](const core::SearchCheckpoint&) {
@@ -343,7 +336,7 @@ int main(int argc, char** argv) {
 
     const nn::PoolStats warm = scope.pool().stats();
     core::LightNas repeat(space, predictor, task, core::SupernetConfig{},
-                          search_config(smoke, true, nullptr));
+                          search_config(smoke, true));
     repeat.search();
     search_steady = scope.pool().stats() - warm;
   }
@@ -363,41 +356,26 @@ int main(int argc, char** argv) {
     all_pass = false;
   }
 
-  // --- 4. bit-identity: pooled vs unpooled at 1 and 4 threads ----------
-  nn::ParallelConfig pc;
-  pc.threads = 4;
-  const nn::ParallelContext ctx(pc);
-
+  // --- 4. bit-identity: pooled vs unpooled ------------------------------
   const std::size_t identity_epochs = smoke ? 3 : 6;
-  const TrainRun train_off =
-      run_training(space, data, identity_epochs, 64, false, nullptr);
-  const bool train_same_1 = states_identical(
-      train_off.state,
-      run_training(space, data, identity_epochs, 64, true, nullptr).state);
-  const bool train_same_4 = states_identical(
-      train_off.state,
-      run_training(space, data, identity_epochs, 64, true, &ctx).state);
+  const bool train_same = states_identical(
+      run_training(space, data, identity_epochs, 64, false).state,
+      run_training(space, data, identity_epochs, 64, true).state);
 
-  auto search_once = [&](bool pooled, const nn::ParallelContext* parallel) {
+  auto search_once = [&](bool pooled) {
     core::LightNas engine(space, predictor, task, core::SupernetConfig{},
-                          search_config(smoke, pooled, parallel));
+                          search_config(smoke, pooled));
     return engine.search();
   };
-  const core::SearchResult search_off = search_once(false, nullptr);
-  const bool search_same_1 =
-      search_results_identical(search_off, search_once(true, nullptr));
-  const bool search_same_4 =
-      search_results_identical(search_off, search_once(true, &ctx));
+  const bool search_same =
+      search_results_identical(search_once(false), search_once(true));
 
-  util::Table identity({"comparison", "1 thread", "4 threads"});
-  identity.add_row({"trained predictor weights", train_same_1 ? "yes" : "NO",
-                    train_same_4 ? "yes" : "NO"});
-  identity.add_row({"search trajectory", search_same_1 ? "yes" : "NO",
-                    search_same_4 ? "yes" : "NO"});
+  util::Table identity({"comparison", "identical"});
+  identity.add_row({"trained predictor weights", train_same ? "yes" : "NO"});
+  identity.add_row({"search trajectory", search_same ? "yes" : "NO"});
   std::printf("\nbit-identity pooled vs unpooled:\n");
   identity.print(std::cout);
-  const bool identity_pass =
-      train_same_1 && train_same_4 && search_same_1 && search_same_4;
+  const bool identity_pass = train_same && search_same;
   if (!identity_pass) {
     std::printf("FAIL: pooling changed an observable result\n");
     all_pass = false;
@@ -407,15 +385,20 @@ int main(int argc, char** argv) {
   io::Json out = io::Json::object();
   out.set("bench", io::Json("alloc_steady_state"));
   out.set("smoke", io::Json(smoke));
-  out.set("train_steps_per_s_pooled", io::Json(pooled_steps_per_s));
-  out.set("train_steps_per_s_unpooled", io::Json(unpooled_steps_per_s));
-  out.set("train_speedup", io::Json(train_speedup));
-  out.set("search_steps_per_s_pooled", io::Json(search_pooled_steps_per_s));
+  const bool measured = !smoke;
+  out.set("measured", io::Json(measured));
+  out.set("train_steps_per_s_pooled",
+          bench::reading(measured, pooled_steps_per_s));
+  out.set("train_steps_per_s_unpooled",
+          bench::reading(measured, unpooled_steps_per_s));
+  out.set("train_speedup", bench::reading(measured, train_speedup));
+  out.set("search_steps_per_s_pooled",
+          bench::reading(measured, search_pooled_steps_per_s));
   out.set("search_steps_per_s_unpooled",
-          io::Json(search_unpooled_steps_per_s));
-  out.set("search_speedup", io::Json(search_speedup));
+          bench::reading(measured, search_unpooled_steps_per_s));
+  out.set("search_speedup", bench::reading(measured, search_speedup));
   out.set("throughput_pass", io::Json(throughput_pass));
-  out.set("pool_hit_rate", io::Json(hit_rate));
+  out.set("pool_hit_rate", bench::reading(measured, hit_rate));
   out.set("steady_buffer_misses",
           io::Json(static_cast<std::size_t>(train_steady.buffer_misses)));
   out.set("steady_node_misses",

@@ -66,6 +66,10 @@ void update_bench_json(const std::string& path, const std::string& key,
   io::write_json_file(path, root);
 }
 
+io::Json reading(bool measured, double value) {
+  return measured ? io::Json(value) : io::Json();
+}
+
 void banner(const std::string& title, const std::string& paper_artifact) {
   std::printf("=======================================================\n");
   std::printf("%s\n", title.c_str());

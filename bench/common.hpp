@@ -54,4 +54,9 @@ void banner(const std::string& title, const std::string& paper_artifact);
 void update_bench_json(const std::string& path, const std::string& key,
                        const io::Json& section);
 
+/// A timed reading for a BENCH section: `value` when the run measured
+/// it, else null. Smoke runs skip the timed legs, and a 0 there would
+/// read as a measurement. Sections carry "measured" alongside.
+io::Json reading(bool measured, double value);
+
 }  // namespace lightnas::bench

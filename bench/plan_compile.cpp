@@ -20,7 +20,8 @@
 //  - Predictor plans (always enforced): a forward-only plan of the MLP
 //    predictor matches forward_var bit-for-bit.
 //
-// Results are emitted machine-readably to BENCH_plan.json.
+// Results are emitted machine-readably to BENCH_plan.json; the timed
+// readings are null (with "measured": false) in smoke runs.
 
 #include <atomic>
 #include <chrono>
@@ -42,7 +43,6 @@
 #include "io/json.hpp"
 #include "io/serialize.hpp"
 #include "nn/ops.hpp"
-#include "nn/parallel.hpp"
 #include "nn/plan.hpp"
 #include "nn/pool.hpp"
 #include "predictors/mlp_predictor.hpp"
@@ -315,21 +315,20 @@ int main(int argc, char** argv) {
             nn::ops::softmax_cross_entropy(logits, batch.labels);
         program = recording.capture(loss);
       }
-      const nn::ParallelContext& ctx = nn::ParallelContext::current();
       std::unique_ptr<nn::plan::ExecutionPlan> plan =
           program != nullptr ? nn::plan::ExecutionPlan::compile(
-                                   *program, nn::plan::CompileOptions{}, ctx)
+                                   *program, nn::plan::CompileOptions{})
                              : nullptr;
       if (plan != nullptr) {
         const std::vector<const nn::Tensor*> inputs = {&batch.features};
         const std::vector<const std::vector<std::size_t>*> labels = {
             &batch.labels};
-        (void)plan->execute(inputs, labels, ctx);  // ensure_grad warmup
+        (void)plan->execute(inputs, labels);  // ensure_grad warmup
         const nn::PoolStats pool_before = nn::TensorPool::global_stats();
         g_heap_allocs.store(0, std::memory_order_relaxed);
         g_count_allocs.store(true, std::memory_order_relaxed);
         for (std::size_t s = 0; s < steady_steps; ++s) {
-          (void)plan->execute(inputs, labels, ctx);
+          (void)plan->execute(inputs, labels);
         }
         g_count_allocs.store(false, std::memory_order_relaxed);
         const nn::PoolStats pd =
@@ -440,7 +439,6 @@ int main(int argc, char** argv) {
       {8, 16, 32, 10}, {4, 7, 9, 3}, {16, 24, 24, 5}, {1, 12, 8, 2}};
   bool roundtrip_bit_identical = true;
   bool roundtrip_cold_hits = true;
-  const nn::ParallelContext serial_ctx{};
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const MlpSpec& spec = specs[i];
     const nn::Tensor features =
@@ -478,10 +476,8 @@ int main(int argc, char** argv) {
     const MlpModel host = make_mlp(spec, 50 + i);
     io::bind_program_params(loaded, host.params());
     std::unique_ptr<nn::plan::ExecutionPlan> plan =
-        nn::plan::ExecutionPlan::compile(loaded, nn::plan::CompileOptions{},
-                                         serial_ctx);
-    if (plan == nullptr ||
-        !plan->execute({&features}, {&labels}, serial_ctx)) {
+        nn::plan::ExecutionPlan::compile(loaded, nn::plan::CompileOptions{});
+    if (plan == nullptr || !plan->execute({&features}, {&labels})) {
       roundtrip_bit_identical = false;
       continue;
     }
@@ -496,8 +492,8 @@ int main(int argc, char** argv) {
     settings.enabled = true;
     nn::plan::PlanCache cache(settings);
     cache.store("artifact", std::move(plan));
-    roundtrip_cold_hits = roundtrip_cold_hits &&
-                          cache.lookup("artifact", serial_ctx) != nullptr;
+    roundtrip_cold_hits =
+        roundtrip_cold_hits && cache.lookup("artifact") != nullptr;
   }
   std::printf("\nartifact round-trip over %zu specs: %s, cold cache hits: "
               "%s\n",
@@ -533,10 +529,8 @@ int main(int argc, char** argv) {
       }
       nn::plan::CompileOptions opts;
       opts.backward = false;
-      const auto plan =
-          nn::plan::ExecutionPlan::compile(*program, opts, serial_ctx);
-      if (plan == nullptr ||
-          !plan->execute({&encoding}, {}, serial_ctx) ||
+      const auto plan = nn::plan::ExecutionPlan::compile(*program, opts);
+      if (plan == nullptr || !plan->execute({&encoding}, {}) ||
           !float_bits_equal(dynamic->value.item(), plan->root_data()[0])) {
         predictor_bit_identical = false;
         break;
@@ -556,9 +550,13 @@ int main(int argc, char** argv) {
   io::Json out = io::Json::object();
   out.set("bench", io::Json("plan_compile"));
   out.set("smoke", io::Json(smoke));
-  out.set("steps_per_s_dynamic", io::Json(steps_per_s_dynamic));
-  out.set("steps_per_s_planned", io::Json(steps_per_s_planned));
-  out.set("speedup", io::Json(speedup));
+  const bool measured = !smoke;
+  out.set("measured", io::Json(measured));
+  out.set("steps_per_s_dynamic",
+          bench::reading(measured, steps_per_s_dynamic));
+  out.set("steps_per_s_planned",
+          bench::reading(measured, steps_per_s_planned));
+  out.set("speedup", bench::reading(measured, speedup));
   out.set("throughput_pass", io::Json(throughput_pass));
   out.set("exec_heap_allocs",
           io::Json(static_cast<std::size_t>(exec_heap_allocs)));

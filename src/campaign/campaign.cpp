@@ -147,9 +147,8 @@ CampaignResult CampaignOrchestrator::run() { return run(CampaignHooks{}); }
 
 CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
   const core::LightNasConfig& search = config_.search;
-  // Same execution scopes as the single-target engine: every tensor
-  // kernel dispatches through the parallel context, buffers recycle
-  // through the pool. Neither changes any value.
+  // The epoch-end evaluation spreads jobs over the scope's lanes, and
+  // buffers recycle through the pool. Neither changes any value.
   const nn::ParallelScope parallel_scope(search.parallel);
   nn::PooledScope pool_scope(search.pool_tensors ? nn::PoolMode::kInherit
                                                  : nn::PoolMode::kDisabled);
@@ -311,7 +310,7 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
     // ---- per-target alpha/lambda phase ---------------------------------
     // Heads are independent, but every alpha backward traverses the
     // shared supernet's gradient buffers, so jobs step serially in id
-    // order (the GEMMs inside each step still use the parallel context).
+    // order on the calling thread.
     if (epoch >= search.warmup_epochs) {
       for (Job* job_ptr : active) {
         Job& job = *job_ptr;

@@ -145,10 +145,6 @@ LightNas::LightNas(const space::SearchSpace& space,
 SearchResult LightNas::search() { return search(SearchHooks{}); }
 
 SearchResult LightNas::search(const SearchHooks& hooks) {
-  // All tensor kernels below (supernet forwards, predictor evaluation,
-  // every backward pass) dispatch through this scope; the trajectory is
-  // bit-identical for any thread count.
-  const nn::ParallelScope parallel_scope(config_.parallel);
   // Memory-reuse layer: buffers and Var nodes recycle through the
   // active TensorPool (inherited from the caller when one is installed). Pure buffer recycling — the trajectory is
   // bit-identical with pooling on or off.

@@ -99,11 +99,12 @@ struct LightNasConfig {
   std::uint64_t seed = 0;
   bool log_progress = false;
 
-  /// Parallel-kernel context for the bi-level loop's GEMMs (supernet
-  /// forwards, predictor evaluation, backward passes); null uses
-  /// ParallelContext::current(). The search trajectory is bit-identical
-  /// for every thread count, so checkpoints and resumes interoperate
-  /// freely across --threads settings.
+  /// Lanes for a campaign's per-job phases (today the epoch-end
+  /// evaluation, one job per lane via for_rows); null is serial. A
+  /// single-target search does not read it, and tensor kernels always
+  /// run serially on the calling thread. Campaign results and
+  /// checkpoints are bit-identical for every lane count, so a
+  /// checkpoint resumes exactly under any --threads setting.
   const nn::ParallelContext* parallel = nullptr;
 
   /// Recycle tensor buffers and autograd nodes through a nn::TensorPool

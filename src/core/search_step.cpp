@@ -168,11 +168,10 @@ double SharedWTrainer::step(const nn::Dataset& batch,
   plan_key_.push_back('x');
   append_num(batch.features.cols());
 
-  const nn::ParallelContext& ctx = nn::ParallelContext::current();
-  if (nn::plan::ExecutionPlan* plan = plans_.lookup(plan_key_, ctx)) {
+  if (nn::plan::ExecutionPlan* plan = plans_.lookup(plan_key_)) {
     plan_inputs_[0] = &batch.features;
     plan_labels_[0] = &batch.labels;
-    if (plan->execute(plan_inputs_, plan_labels_, ctx)) {
+    if (plan->execute(plan_inputs_, plan_labels_)) {
       w_optimizer_.set_lr(w_schedule_.lr_at(step_counter_++));
       if (plan != active_plan_) rebuild_plan_active(plan);
       if (plan_active_valid_) {
@@ -220,8 +219,7 @@ double SharedWTrainer::dynamic_step(
     plans_.store(plan_key_,
                  program != nullptr
                      ? nn::plan::ExecutionPlan::compile(
-                           *program, nn::plan::CompileOptions{},
-                           nn::ParallelContext::current())
+                           *program, nn::plan::CompileOptions{})
                      : nullptr);
   }
   return static_cast<double>(loss->value.item());

@@ -39,9 +39,7 @@ class Linear : public Module {
   /// allocating autograd nodes; safe to call concurrently from many
   /// threads (touches only the immutable parameter values). With
   /// `fuse_relu` the bias add and ReLU run as one fused kernel (same
-  /// math, one memory pass). Kernels dispatch over
-  /// ParallelContext::current() and stay bit-identical at any thread
-  /// count.
+  /// math, one memory pass).
   Tensor forward_inference(const Tensor& x, bool fuse_relu = false) const;
   std::vector<VarPtr> parameters() const override;
 

@@ -1,10 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 
 namespace lightnas::util {
 class ThreadPool;
@@ -12,34 +10,26 @@ class ThreadPool;
 
 namespace lightnas::nn {
 
-/// Tuning knobs of the parallel dense-kernel layer.
+/// Lane count of a ParallelContext.
 struct ParallelConfig {
-  /// Total compute lanes for a dispatched kernel, including the calling
-  /// thread. 1 means fully serial (no pool is created).
+  /// Total compute lanes, including the calling thread. 1 means fully
+  /// serial (no pool is created).
   std::size_t threads = 1;
-  /// Cache-block edge (the k-dimension tile of the blocked GEMM
-  /// kernels). Must be >= 1.
-  std::size_t block = 64;
-  /// Kernels whose work estimate (FLOPs for GEMM, elements for the
-  /// fused elementwise kernels) falls below this stay serial: the
-  /// dispatch latch costs a few microseconds, which dwarfs a tiny
-  /// kernel. Dispatch additionally requires >= 2 output rows.
-  std::size_t min_work = 1u << 16;
 };
 
-/// Shared parallel-execution context for the nn kernels: a thread pool
-/// plus the dispatch policy. One context is meant to be shared by a
-/// whole pipeline (trainer, search loop, serving workers); concurrent
-/// `for_rows` calls from different threads are safe and simply interleave
-/// their chunks on the same workers.
+/// Job-level lanes: a thread pool that runs independent jobs side by
+/// side, such as a campaign's per-target epoch evaluations. Tensor
+/// kernels never dispatch on it; they always run their rows serially on
+/// the calling thread, because the GEMMs of one search step are too
+/// small to pay for a pool latch. Concurrent `for_rows` calls from
+/// different threads are safe and simply interleave their chunks on the
+/// same workers. The pool is fixed at construction.
 ///
 /// Determinism contract: `for_rows(rows, fn)` always cuts [0, rows) into
-/// the same `min(threads, rows)` contiguous chunks, each chunk is
-/// executed by exactly one thread, and no two chunks share output rows.
-/// Every output element is therefore produced by one serial kernel
-/// invocation with a fixed accumulation order — results are bit-identical
-/// to the serial path for every thread count, with no atomics or
-/// nondeterministic reductions anywhere.
+/// the same `min(threads, rows)` contiguous chunks, and each chunk is
+/// executed by exactly one thread. As long as `fn` writes only the
+/// output slots of its own rows, results are bit-identical to the
+/// serial path for every lane count.
 class ParallelContext {
  public:
   /// Serial context (threads = 1).
@@ -50,78 +40,22 @@ class ParallelContext {
   ParallelContext(const ParallelContext&) = delete;
   ParallelContext& operator=(const ParallelContext&) = delete;
 
-  std::size_t threads() const {
-    return threads_.load(std::memory_order_relaxed);
-  }
-  std::size_t block() const {
-    return block_.load(std::memory_order_relaxed);
-  }
-  /// Snapshot of the current knobs. By value: the global context can be
-  /// reconfigured concurrently (see configure_global), so a reference
-  /// into the context would be a read of mutating state.
-  ParallelConfig config() const;
-
-  /// True when a kernel with `rows` output rows and `work` scalar ops
-  /// should be dispatched on the pool. Always false inside a worker
-  /// chunk (nested kernels run serial rather than deadlocking the pool).
-  bool should_parallelize(std::size_t rows, std::size_t work) const;
-
   /// Run fn(begin, end) over a fixed contiguous partition of [0, rows).
   /// The caller executes the first chunk itself; the call returns only
   /// after every chunk has finished. Falls back to fn(0, rows) when the
-  /// context is serial or the caller is already inside a chunk.
+  /// context is serial or the caller is already inside a chunk (nested
+  /// dispatch runs serial rather than deadlocking the pool).
   void for_rows(std::size_t rows,
                 const std::function<void(std::size_t, std::size_t)>& fn)
       const;
 
-  /// Allocation-free variant of for_rows over a precomputed partition:
-  /// `bounds` holds `chunks + 1` ascending row bounds (chunk c covers
-  /// [bounds[c], bounds[c+1])) and fn is a plain function pointer taking
-  /// an opaque arg — no std::function, so a compiled execution plan can
-  /// dispatch without touching the heap. The caller runs chunk 0; falls
-  /// back to one serial fn(arg, bounds[0], bounds[chunks]) call when the
-  /// context is serial, the caller is inside a chunk, or chunks <= 1.
-  /// The partition must match what for_rows would compute for the same
-  /// rows/chunks split if bit-identity with the dynamic path matters.
-  void for_partition(const std::size_t* bounds, std::size_t chunks,
-                     void (*fn)(void*, std::size_t, std::size_t),
-                     void* arg) const;
-
-  /// The context the kernels consult when none is passed explicitly:
-  /// the innermost active ParallelScope on this thread, else global().
+  /// The innermost active ParallelScope on this thread, else a
+  /// process-wide serial context.
   static const ParallelContext& current();
 
-  /// Process-wide default context; serial until configured.
-  static ParallelContext& global();
-
-  /// Swap the global context's knobs and pool. Safe to call while other
-  /// threads are dispatching kernels: every `for_rows` snapshots the
-  /// pool once (a shared_ptr copy), so in-flight dispatches finish on
-  /// the pool they started with, and the old pool's workers join only
-  /// after its last snapshot holder drops it. Must not be called from a
-  /// pool worker thread (joining your own pool would deadlock) — kernel
-  /// bodies never do.
-  static void configure_global(const ParallelConfig& config);
-
  private:
-  void install(const ParallelConfig& config);
-
-  /// Swap-safe snapshot of the current pool (may be null when serial).
-  std::shared_ptr<util::ThreadPool> pool_snapshot() const;
-
-  // Knobs are independent relaxed atomics rather than one struct: a
-  // kernel mixing a freshly configured block size with the previous
-  // thread count is harmless (both values are always valid), and this
-  // keeps should_parallelize() — called on every kernel entry — at two
-  // plain loads. The pool slot itself is a mutex-guarded shared_ptr
-  // (not std::atomic<shared_ptr>, whose libstdc++ spinlock protocol
-  // ThreadSanitizer cannot model): the mutex is only touched by actual
-  // pool dispatches and reconfigures, never on the serial fast path.
-  std::atomic<std::size_t> threads_{1};
-  std::atomic<std::size_t> block_{64};
-  std::atomic<std::size_t> min_work_{1u << 16};
-  mutable std::mutex pool_mu_;
-  std::shared_ptr<util::ThreadPool> pool_;
+  std::size_t threads_ = 1;
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 /// RAII thread-local override: while alive, ParallelContext::current()

@@ -192,21 +192,13 @@ enum class IKind : std::uint8_t {
 
 struct GemmDesc;
 
-struct GemmArgs {
-  const float* a;
-  const float* b;
-  float* c;
-  const GemmDesc* d;
-};
-
-using GemmRowFn = void (*)(const GemmArgs&, std::size_t, std::size_t);
+using GemmFn = void (*)(const float* a, const float* b, float* c,
+                        const GemmDesc& d);
 
 struct GemmDesc {
-  GemmRowFn fn = nullptr;
-  std::size_t m = 0, k = 0, n = 0, kc = 64;
+  GemmFn fn = nullptr;
+  std::size_t m = 0, k = 0, n = 0;
   bool fma = false;
-  std::uint32_t chunks = 1;        // 1 = serial
-  std::uint32_t bounds_begin = 0;  // into the bounds pool when chunks > 1
 };
 
 struct Instr {
@@ -219,34 +211,31 @@ struct Instr {
   std::int32_t gemm = -1;
 };
 
-// The six pinned kernel entry points. Selected once at compile time;
-// every row range of one instruction runs the same kernel.
-void gemm_nn_scalar(const GemmArgs& g, std::size_t r0, std::size_t r1) {
-  matmul_rows_scalar(g.a, g.b, g.c, g.d->k, g.d->n, r0, r1, g.d->kc);
+// The six pinned kernel entry points, selected once at compile time.
+void gemm_nn_scalar(const float* a, const float* b, float* c,
+                    const GemmDesc& d) {
+  matmul_rows_scalar(a, b, c, d.k, d.n, 0, d.m, kGemmBlock);
 }
-void gemm_nn_avx2(const GemmArgs& g, std::size_t r0, std::size_t r1) {
-  simd::matmul_rows_avx2(g.a, g.b, g.c, g.d->k, g.d->n, r0, r1, g.d->kc,
-                         g.d->fma);
+void gemm_nn_avx2(const float* a, const float* b, float* c,
+                  const GemmDesc& d) {
+  simd::matmul_rows_avx2(a, b, c, d.k, d.n, 0, d.m, kGemmBlock, d.fma);
 }
-void gemm_tn_scalar(const GemmArgs& g, std::size_t r0, std::size_t r1) {
-  matmul_tn_rows_scalar(g.a, g.b, g.c, g.d->k, g.d->m, g.d->n, r0, r1,
-                        g.d->kc);
+void gemm_tn_scalar(const float* a, const float* b, float* c,
+                    const GemmDesc& d) {
+  matmul_tn_rows_scalar(a, b, c, d.k, d.m, d.n, 0, d.m, kGemmBlock);
 }
-void gemm_tn_avx2(const GemmArgs& g, std::size_t r0, std::size_t r1) {
-  simd::matmul_tn_rows_avx2(g.a, g.b, g.c, g.d->k, g.d->m, g.d->n, r0, r1,
-                            g.d->kc, g.d->fma);
+void gemm_tn_avx2(const float* a, const float* b, float* c,
+                  const GemmDesc& d) {
+  simd::matmul_tn_rows_avx2(a, b, c, d.k, d.m, d.n, 0, d.m, kGemmBlock,
+                            d.fma);
 }
-void gemm_nt_scalar(const GemmArgs& g, std::size_t r0, std::size_t r1) {
-  matmul_nt_rows_scalar(g.a, g.b, g.c, g.d->k, g.d->n, r0, r1);
+void gemm_nt_scalar(const float* a, const float* b, float* c,
+                    const GemmDesc& d) {
+  matmul_nt_rows_scalar(a, b, c, d.k, d.n, 0, d.m);
 }
-void gemm_nt_avx2(const GemmArgs& g, std::size_t r0, std::size_t r1) {
-  simd::matmul_nt_rows_avx2(g.a, g.b, g.c, g.d->k, g.d->n, r0, r1,
-                            g.d->fma);
-}
-
-void gemm_chunk(void* arg, std::size_t r0, std::size_t r1) {
-  const GemmArgs& g = *static_cast<GemmArgs*>(arg);
-  g.d->fn(g, r0, r1);
+void gemm_nt_avx2(const float* a, const float* b, float* c,
+                  const GemmDesc& d) {
+  simd::matmul_nt_rows_avx2(a, b, c, d.k, d.n, 0, d.m, d.fma);
 }
 
 }  // namespace
@@ -257,12 +246,10 @@ struct PlanImpl {
   Program program;
   CompileOptions opts;
   simd::IsaLevel pinned_isa = simd::IsaLevel::kScalar;
-  ParallelConfig pinned_cfg;
   std::size_t fused = 0;
 
   std::vector<Instr> instrs;
   std::vector<GemmDesc> gemms;
-  std::vector<std::size_t> bounds;
   AlignedVector arena;
 
   std::vector<VarPtr> params;
@@ -331,7 +318,6 @@ struct LOp {
 struct Compiler {
   const Program& prog;
   CompileOptions opts;
-  ParallelConfig cfg;
   simd::IsaLevel isa;
   PlanImpl& out;
 
@@ -351,10 +337,9 @@ struct Compiler {
   std::vector<std::int32_t> param_of, baked_of;  // slot -> binding index
   bool failed = false;
 
-  Compiler(const Program& p, const CompileOptions& o,
-           const ParallelConfig& c, simd::IsaLevel i,
+  Compiler(const Program& p, const CompileOptions& o, simd::IsaLevel i,
            PlanImpl& im)
-      : prog(p), opts(o), cfg(c), isa(i), out(im) {}
+      : prog(p), opts(o), isa(i), out(im) {}
 
   const ProgramSlot& slot(std::uint32_t id) const { return prog.slots[id]; }
 
@@ -636,26 +621,12 @@ struct Compiler {
     d.m = m;
     d.k = k;
     d.n = n;
-    d.kc = cfg.block;
     const bool vec = isa != simd::IsaLevel::kScalar;
     d.fma = isa == simd::IsaLevel::kAvx2Fma;
     switch (kind) {
       case 'N': d.fn = vec ? gemm_nn_avx2 : gemm_nn_scalar; break;
       case 'T': d.fn = vec ? gemm_tn_avx2 : gemm_tn_scalar; break;
       default:  d.fn = vec ? gemm_nt_avx2 : gemm_nt_scalar; break;
-    }
-    // The exact should_parallelize() / for_rows partition the dynamic
-    // dispatch would pick for this shape, decided once here.
-    const std::size_t work = 2 * m * k * n;
-    if (cfg.threads > 1 && m >= 2 && work >= cfg.min_work) {
-      const std::size_t chunks = std::min(cfg.threads, m);
-      if (chunks > 1) {
-        d.chunks = static_cast<std::uint32_t>(chunks);
-        d.bounds_begin = static_cast<std::uint32_t>(out.bounds.size());
-        for (std::size_t c = 0; c <= chunks; ++c) {
-          out.bounds.push_back(c * m / chunks);
-        }
-      }
     }
     out.gemms.push_back(d);
     return static_cast<std::int32_t>(out.gemms.size() - 1);
@@ -1070,15 +1041,13 @@ ExecutionPlan::ExecutionPlan() : impl_(new Impl()) {}
 ExecutionPlan::~ExecutionPlan() = default;
 
 std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(
-    const Program& program, const CompileOptions& opts,
-    const ParallelContext& ctx) {
+    const Program& program, const CompileOptions& opts) {
   std::unique_ptr<ExecutionPlan> plan(new ExecutionPlan());
   Impl& im = *plan->impl_;
   im.program = program;
   im.opts = opts;
   im.pinned_isa = simd::active_isa();
-  im.pinned_cfg = ctx.config();
-  Compiler compiler(im.program, opts, im.pinned_cfg, im.pinned_isa, im);
+  Compiler compiler(im.program, opts, im.pinned_isa, im);
   if (!compiler.run()) return nullptr;
   im.pv.assign(im.params.size(), nullptr);
   im.pg.assign(im.params.size(), nullptr);
@@ -1088,21 +1057,15 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(
   return plan;
 }
 
-bool ExecutionPlan::valid_for(const ParallelContext& ctx) const {
-  const Impl& im = *impl_;
-  if (simd::active_isa() != im.pinned_isa) return false;
-  const ParallelConfig cfg = ctx.config();
-  return cfg.threads == im.pinned_cfg.threads &&
-         cfg.block == im.pinned_cfg.block &&
-         cfg.min_work == im.pinned_cfg.min_work;
+bool ExecutionPlan::valid() const {
+  return simd::active_isa() == impl_->pinned_isa;
 }
 
 bool ExecutionPlan::execute(
     const std::vector<const Tensor*>& inputs,
-    const std::vector<const std::vector<std::size_t>*>& labels,
-    const ParallelContext& ctx) {
+    const std::vector<const std::vector<std::size_t>*>& labels) {
   Impl& im = *impl_;
-  if (!valid_for(ctx)) return false;
+  if (!valid()) return false;
   if (inputs.size() != im.program.num_inputs ||
       labels.size() != im.program.num_label_bindings) {
     return false;
@@ -1149,13 +1112,7 @@ bool ExecutionPlan::execute(
     switch (ins.kind) {
       case IKind::kGemm: {
         const GemmDesc& d = im.gemms[static_cast<std::size_t>(ins.gemm)];
-        GemmArgs ga{im.ptr(ins.a), im.ptr(ins.b), im.ptr(ins.c), &d};
-        if (d.chunks > 1) {
-          ctx.for_partition(im.bounds.data() + d.bounds_begin, d.chunks,
-                            &gemm_chunk, &ga);
-        } else {
-          d.fn(ga, 0, d.m);
-        }
+        d.fn(im.ptr(ins.a), im.ptr(ins.b), im.ptr(ins.c), d);
         break;
       }
       case IKind::kAddEw: {
@@ -1398,8 +1355,7 @@ PlanStats global_stats() {
 
 PlanCache::PlanCache(PlanSettings settings) : settings_(settings) {}
 
-ExecutionPlan* PlanCache::lookup(const std::string& key,
-                                 const ParallelContext& ctx) {
+ExecutionPlan* PlanCache::lookup(const std::string& key) {
   if (!settings_.enabled) return nullptr;
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -1413,12 +1369,12 @@ ExecutionPlan* PlanCache::lookup(const std::string& key,
   ++e.count;
   e.last_use = ++tick_;
   if (e.plan != nullptr) {
-    if (e.plan->valid_for(ctx)) {
+    if (e.plan->valid()) {
       g_hits.add();
       return e.plan.get();
     }
-    // Environment changed under the plan (ISA override, thread
-    // reconfigure): drop it, keep the count so it recompiles promptly.
+    // The ISA tier changed under the plan (an override): drop it, keep
+    // the count so it recompiles promptly.
     e.plan.reset();
   }
   g_misses.add();

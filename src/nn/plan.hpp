@@ -9,7 +9,6 @@
 
 #include "nn/aligned.hpp"
 #include "nn/autograd.hpp"
-#include "nn/parallel.hpp"
 #include "nn/simd.hpp"
 #include "nn/tensor.hpp"
 
@@ -76,7 +75,7 @@ struct ProgramOp {
 /// graph one forward pass traced out, with parameters bound by pointer
 /// and per-step tensors left as input bindings. This is the
 /// serializable "compiled model" IR — ExecutionPlan::compile lowers it
-/// against the current ISA/thread environment.
+/// against the current ISA tier.
 struct Program {
   std::vector<ProgramSlot> slots;
   std::vector<ProgramOp> ops;
@@ -127,9 +126,8 @@ struct CompileOptions {
 };
 
 /// A recorded Program lowered against the *current* environment: kernel
-/// pointers resolved for the active ISA tier, GEMM row partitions
-/// precomputed for the given ParallelContext configuration, and every
-/// intermediate placed at a fixed offset in one liveness-packed
+/// pointers resolved for the active ISA tier, and every intermediate
+/// placed at a fixed offset in one liveness-packed
 /// 32-byte-aligned arena. execute() touches no Var machinery, no
 /// TensorPool, and no heap; results (values, loss, and parameter
 /// gradients) are bit-identical to running the same graph dynamically.
@@ -141,18 +139,16 @@ class ExecutionPlan {
   ExecutionPlan(const ExecutionPlan&) = delete;
   ExecutionPlan& operator=(const ExecutionPlan&) = delete;
 
-  /// Lower `program` for the current active_isa() and `ctx`'s config.
-  /// Returns null when the program is unsupported (non-scalar root with
-  /// backward, zero-sized shapes, malformed wiring).
+  /// Lower `program` for the current active_isa(). Returns null when
+  /// the program is unsupported (non-scalar root with backward,
+  /// zero-sized shapes, malformed wiring).
   static std::unique_ptr<ExecutionPlan> compile(const Program& program,
-                                                const CompileOptions& opts,
-                                                const ParallelContext& ctx);
+                                                const CompileOptions& opts);
 
-  /// True when the environment still matches what compile() pinned:
-  /// same ISA tier and same ParallelConfig. A stale plan must be
-  /// recompiled, not executed — kernel choice and row partitions are
-  /// baked in.
-  bool valid_for(const ParallelContext& ctx) const;
+  /// True when the active ISA tier still matches what compile() pinned.
+  /// A stale plan must be recompiled, not executed — the kernel choice
+  /// is baked in.
+  bool valid() const;
 
   /// Run the plan. `inputs[i]` binds input slot i (shape-checked);
   /// `labels[j]` binds softmax-CE call j. Returns false — with no
@@ -162,8 +158,7 @@ class ExecutionPlan {
   /// accumulated (backward plans) and root_data() exposes the root
   /// value until the next execute().
   bool execute(const std::vector<const Tensor*>& inputs,
-               const std::vector<const std::vector<std::size_t>*>& labels,
-               const ParallelContext& ctx);
+               const std::vector<const std::vector<std::size_t>*>& labels);
 
   const float* root_data() const;
   std::size_t root_rows() const;
@@ -229,10 +224,9 @@ class PlanCache {
   const PlanSettings& settings() const { return settings_; }
 
   /// Bump the key's request count. Returns the compiled plan when one
-  /// exists and is valid for `ctx` (counts a hit); otherwise counts a
-  /// miss. A plan invalidated by an environment change is dropped so
-  /// the key can recompile.
-  ExecutionPlan* lookup(const std::string& key, const ParallelContext& ctx);
+  /// exists and is valid (counts a hit); otherwise counts a miss. A plan
+  /// invalidated by an ISA change is dropped so the key can recompile.
+  ExecutionPlan* lookup(const std::string& key);
 
   /// True when the caller should trace this step for compilation: the
   /// key has been requested >= compile_after times, has no plan yet,

@@ -50,8 +50,7 @@ void set_global_isa(IsaLevel level);
 
 /// The level the kernels dispatch on: the innermost ScopedIsa override
 /// on this thread when one is active, else global_isa(). GEMM entry
-/// points read this once per call, so every row chunk of one dispatch
-/// uses the same kernels regardless of which pool thread runs it.
+/// points read this once per call.
 IsaLevel active_isa();
 
 /// Parse "scalar" / "avx2" / "avx2fma"; returns false on anything else.

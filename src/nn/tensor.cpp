@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/parallel.hpp"
 #include "nn/pool.hpp"
 #include "nn/simd.hpp"
 #include "util/check.hpp"
@@ -192,45 +191,21 @@ void Tensor::axpy_inplace(float s, const Tensor& other) {
 }
 
 void Tensor::add_row_inplace(const Tensor& row) {
-  add_row_inplace(row, ParallelContext::current());
-}
-
-void Tensor::add_row_inplace(const Tensor& row, const ParallelContext& ctx) {
   LIGHTNAS_CHECK(row.rows() == 1 && row.cols() == cols_,
                  "add_row_inplace: " + shape_string() + " += row " +
                      row.shape_string());
-  add_row_into(data_.data(), row.data_.data(), rows_, cols_, ctx);
+  add_row_into(data_.data(), row.data_.data(), rows_, cols_);
 }
 
 void Tensor::relu_inplace() {
-  relu_inplace(ParallelContext::current());
-}
-
-void Tensor::relu_inplace(const ParallelContext& ctx) {
-  const std::size_t cols = cols_;
-  float* data = data_.data();
-  const auto body = [data, cols](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0 * cols; i < r1 * cols; ++i) {
-      data[i] = std::max(data[i], 0.0f);
-    }
-  };
-  if (ctx.should_parallelize(rows_, size())) {
-    ctx.for_rows(rows_, body);
-  } else {
-    body(0, rows_);
-  }
+  for (auto& v : data_) v = std::max(v, 0.0f);
 }
 
 void Tensor::add_row_relu_inplace(const Tensor& row) {
-  add_row_relu_inplace(row, ParallelContext::current());
-}
-
-void Tensor::add_row_relu_inplace(const Tensor& row,
-                                  const ParallelContext& ctx) {
   LIGHTNAS_CHECK(row.rows() == 1 && row.cols() == cols_,
                  "add_row_relu_inplace: " + shape_string() + " += row " +
                      row.shape_string());
-  add_row_relu_into(data_.data(), row.data_.data(), rows_, cols_, ctx);
+  add_row_relu_into(data_.data(), row.data_.data(), rows_, cols_);
 }
 
 Tensor Tensor::reshaped(std::size_t rows, std::size_t cols) const {
@@ -287,10 +262,8 @@ std::string Tensor::shape_string() const {
 // register blocking unrolls p in pairs / keeps several independent dot
 // accumulators — neither changes the per-element accumulation order, so
 // the blocked kernels are bit-identical to the naive triple loop, and a
-// row range [r0, r1) computes exactly what the full serial kernel would
-// compute for those rows. That is what lets ParallelContext::for_rows
-// split rows across threads with exact float equality to the serial
-// path.
+// row range [r0, r1) computes exactly what the full kernel would
+// compute for those rows.
 //
 // Note there is deliberately NO zero-operand skip: `0 * NaN` must stay
 // NaN and `0 * inf` must stay NaN for IEEE propagation (the old kernels
@@ -441,154 +414,97 @@ void matmul_nt_rows_scalar(const float* a, const float* b, float* c,
 }
 
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n, const ParallelContext& ctx) {
+                 std::size_t k, std::size_t n) {
   if (k == 0) {  // no k-blocks: the kernel never writes C
     std::fill(c, c + m * n, 0.0f);
     return;
   }
-  const std::size_t kc = ctx.block();
-  // ISA resolved once per call, before any row partitioning, so every
-  // chunk of one dispatch runs the same kernel tier (see simd.hpp).
+  // ISA resolved once per call (see simd.hpp).
   const simd::IsaLevel isa = simd::active_isa();
-  const bool fma = isa == simd::IsaLevel::kAvx2Fma;
-  const auto body = [a, b, c, k, n, kc, isa,
-                     fma](std::size_t r0, std::size_t r1) {
-    if (isa != simd::IsaLevel::kScalar) {
-      simd::matmul_rows_avx2(a, b, c, k, n, r0, r1, kc, fma);
-    } else {
-      matmul_rows_scalar(a, b, c, k, n, r0, r1, kc);
-    }
-  };
-  if (ctx.should_parallelize(m, 2 * m * k * n)) {
-    ctx.for_rows(m, body);
+  if (isa != simd::IsaLevel::kScalar) {
+    simd::matmul_rows_avx2(a, b, c, k, n, 0, m, kGemmBlock,
+                           isa == simd::IsaLevel::kAvx2Fma);
   } else {
-    body(0, m);
+    matmul_rows_scalar(a, b, c, k, n, 0, m, kGemmBlock);
   }
 }
 
 void matmul_tn_into(const float* a, const float* b, float* c, std::size_t k,
-                    std::size_t m, std::size_t n, const ParallelContext& ctx) {
+                    std::size_t m, std::size_t n) {
   if (k == 0) {  // no k-blocks: the kernel never writes C
     std::fill(c, c + m * n, 0.0f);
     return;
   }
-  const std::size_t kc = ctx.block();
   const simd::IsaLevel isa = simd::active_isa();
-  const bool fma = isa == simd::IsaLevel::kAvx2Fma;
-  const auto body = [a, b, c, k, m, n, kc, isa,
-                     fma](std::size_t i0, std::size_t i1) {
-    if (isa != simd::IsaLevel::kScalar) {
-      simd::matmul_tn_rows_avx2(a, b, c, k, m, n, i0, i1, kc, fma);
-    } else {
-      matmul_tn_rows_scalar(a, b, c, k, m, n, i0, i1, kc);
-    }
-  };
-  if (ctx.should_parallelize(m, 2 * m * k * n)) {
-    ctx.for_rows(m, body);
+  if (isa != simd::IsaLevel::kScalar) {
+    simd::matmul_tn_rows_avx2(a, b, c, k, m, n, 0, m, kGemmBlock,
+                              isa == simd::IsaLevel::kAvx2Fma);
   } else {
-    body(0, m);
+    matmul_tn_rows_scalar(a, b, c, k, m, n, 0, m, kGemmBlock);
   }
 }
 
 void matmul_nt_into(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n, const ParallelContext& ctx) {
+                    std::size_t k, std::size_t n) {
   // The NT kernel assigns every element (dot accumulators start at 0),
   // so the output never needs a pre-fill, even for k == 0.
   const simd::IsaLevel isa = simd::active_isa();
-  const bool fma = isa == simd::IsaLevel::kAvx2Fma;
-  const auto body = [a, b, c, k, n, isa,
-                     fma](std::size_t r0, std::size_t r1) {
-    if (isa != simd::IsaLevel::kScalar) {
-      simd::matmul_nt_rows_avx2(a, b, c, k, n, r0, r1, fma);
-    } else {
-      matmul_nt_rows_scalar(a, b, c, k, n, r0, r1);
-    }
-  };
-  if (ctx.should_parallelize(m, 2 * m * k * n)) {
-    ctx.for_rows(m, body);
+  if (isa != simd::IsaLevel::kScalar) {
+    simd::matmul_nt_rows_avx2(a, b, c, k, n, 0, m,
+                              isa == simd::IsaLevel::kAvx2Fma);
   } else {
-    body(0, m);
+    matmul_nt_rows_scalar(a, b, c, k, n, 0, m);
   }
 }
 
 void add_row_into(float* data, const float* bias, std::size_t rows,
-                  std::size_t cols, const ParallelContext& ctx) {
-  const auto body = [data, bias, cols](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      float* out = data + r * cols;
-      for (std::size_t c = 0; c < cols; ++c) out[c] += bias[c];
-    }
-  };
-  if (ctx.should_parallelize(rows, rows * cols)) {
-    ctx.for_rows(rows, body);
-  } else {
-    body(0, rows);
+                  std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* out = data + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) out[c] += bias[c];
   }
 }
 
 void add_row_relu_into(float* data, const float* bias, std::size_t rows,
-                       std::size_t cols, const ParallelContext& ctx) {
-  // ISA resolved once per call so every row chunk of one dispatch uses
-  // the same kernel. Both tiers compute max(v + bias, 0) with one
-  // rounding per element — bit-identical by construction.
-  const bool vec = simd::active_isa() != simd::IsaLevel::kScalar;
-  const auto body = [data, bias, cols, vec](std::size_t r0, std::size_t r1) {
-    if (vec) {
-      simd::add_row_relu_rows_avx2(data, bias, cols, r0, r1);
-      return;
+                       std::size_t cols) {
+  // Both tiers compute max(v + bias, 0) with one rounding per element —
+  // bit-identical by construction.
+  if (simd::active_isa() != simd::IsaLevel::kScalar) {
+    simd::add_row_relu_rows_avx2(data, bias, cols, 0, rows);
+    return;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* out = data + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      out[c] = std::max(out[c] + bias[c], 0.0f);
     }
-    for (std::size_t r = r0; r < r1; ++r) {
-      float* out = data + r * cols;
-      for (std::size_t c = 0; c < cols; ++c) {
-        out[c] = std::max(out[c] + bias[c], 0.0f);
-      }
-    }
-  };
-  if (ctx.should_parallelize(rows, rows * cols)) {
-    ctx.for_rows(rows, body);
-  } else {
-    body(0, rows);
   }
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  return matmul(a, b, ParallelContext::current());
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b, const ParallelContext& ctx) {
   LIGHTNAS_CHECK(a.cols() == b.rows(),
                  "matmul: " + a.shape_string() + " * " + b.shape_string());
   Tensor c = Tensor::uninitialized(a.rows(), b.cols());
   matmul_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),
-              a.cols(), b.cols(), ctx);
+              a.cols(), b.cols());
   return c;
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  return matmul_tn(a, b, ParallelContext::current());
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b,
-                 const ParallelContext& ctx) {
   LIGHTNAS_CHECK(a.rows() == b.rows(), "matmul_tn: " + a.shape_string() +
                                            "^T * " + b.shape_string());
   Tensor c = Tensor::uninitialized(a.cols(), b.cols());
   matmul_tn_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),
-                 a.cols(), b.cols(), ctx);
+                 a.cols(), b.cols());
   return c;
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  return matmul_nt(a, b, ParallelContext::current());
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b,
-                 const ParallelContext& ctx) {
   LIGHTNAS_CHECK(a.cols() == b.cols(), "matmul_nt: " + a.shape_string() +
                                            " * " + b.shape_string() + "^T");
   Tensor c = Tensor::uninitialized(a.rows(), b.rows());
   matmul_nt_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),
-                 a.cols(), b.rows(), ctx);
+                 a.cols(), b.rows());
   return c;
 }
 
@@ -642,7 +558,7 @@ template <typename Dense>
 void zero_skip_into(const float* a, std::size_t row_stride,
                     std::size_t col_stride, const float* b, float* c,
                     std::size_t m, std::size_t k, std::size_t n,
-                    const ParallelContext& ctx, Dense dense) {
+                    Dense dense) {
   const simd::IsaLevel isa = simd::active_isa();
   const std::size_t nonzero = count_nonzero(a, m * k);
   // The skip pays when its work, n products per nonzero plus the k * n
@@ -652,31 +568,18 @@ void zero_skip_into(const float* a, std::size_t row_stride,
     dense();
     return;
   }
-  const auto body = [a, row_stride, col_stride, b, c, k, n,
-                     isa](std::size_t r0, std::size_t r1) {
-    if (isa != simd::IsaLevel::kScalar) {
-      simd::matmul_zero_skip_rows_avx2(a, row_stride, col_stride, b, c, k,
-                                       n, r0, r1);
-    } else {
-      matmul_zero_skip_rows_scalar(a, row_stride, col_stride, b, c, k, n,
-                                   r0, r1);
-    }
-  };
-  if (ctx.should_parallelize(m, 2 * nonzero * n)) {
-    ctx.for_rows(m, body);
+  if (isa != simd::IsaLevel::kScalar) {
+    simd::matmul_zero_skip_rows_avx2(a, row_stride, col_stride, b, c, k, n,
+                                     0, m);
   } else {
-    body(0, m);
+    matmul_zero_skip_rows_scalar(a, row_stride, col_stride, b, c, k, n, 0,
+                                 m);
   }
 }
 
 }  // namespace
 
 Tensor matmul_zero_skip(const Tensor& a, const Tensor& b) {
-  return matmul_zero_skip(a, b, ParallelContext::current());
-}
-
-Tensor matmul_zero_skip(const Tensor& a, const Tensor& b,
-                        const ParallelContext& ctx) {
   LIGHTNAS_CHECK(a.cols() == b.rows(), "matmul_zero_skip: " +
                                            a.shape_string() + " * " +
                                            b.shape_string());
@@ -685,17 +588,12 @@ Tensor matmul_zero_skip(const Tensor& a, const Tensor& b,
   const float* bp = b.data().data();
   float* cp = c.data().data();
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  zero_skip_into(ap, k, 1, bp, cp, m, k, n, ctx,
-                 [&] { matmul_into(ap, bp, cp, m, k, n, ctx); });
+  zero_skip_into(ap, k, 1, bp, cp, m, k, n,
+                 [&] { matmul_into(ap, bp, cp, m, k, n); });
   return c;
 }
 
 Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b) {
-  return matmul_tn_zero_skip(a, b, ParallelContext::current());
-}
-
-Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b,
-                           const ParallelContext& ctx) {
   LIGHTNAS_CHECK(a.rows() == b.rows(), "matmul_tn_zero_skip: " +
                                            a.shape_string() + "^T * " +
                                            b.shape_string());
@@ -704,8 +602,8 @@ Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b,
   const float* bp = b.data().data();
   float* cp = c.data().data();
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  zero_skip_into(ap, 1, m, bp, cp, m, k, n, ctx,
-                 [&] { matmul_tn_into(ap, bp, cp, k, m, n, ctx); });
+  zero_skip_into(ap, 1, m, bp, cp, m, k, n,
+                 [&] { matmul_tn_into(ap, bp, cp, k, m, n); });
   return c;
 }
 

@@ -12,8 +12,6 @@ class Rng;
 
 namespace lightnas::nn {
 
-class ParallelContext;
-
 /// Dense row-major 2-D float tensor.
 ///
 /// The whole reproduction only needs rank-2 math (batch x features):
@@ -86,18 +84,13 @@ class Tensor {
   /// this += s * other (axpy), the core optimizer update primitive.
   void axpy_inplace(float s, const Tensor& other);
   /// Broadcast-add a 1 x cols row over every row (bias application).
-  /// The no-context overloads dispatch on ParallelContext::current();
-  /// results are bit-identical for every thread count.
   void add_row_inplace(const Tensor& row);
-  void add_row_inplace(const Tensor& row, const ParallelContext& ctx);
   /// Elementwise max(v, 0) — the inference-path counterpart of ops::relu.
   void relu_inplace();
-  void relu_inplace(const ParallelContext& ctx);
   /// Fused bias + ReLU: v = max(v + row[c], 0), one pass over memory.
   /// Identical math to add_row_inplace followed by relu_inplace; the
   /// hidden-layer hot path of Mlp::forward_inference.
   void add_row_relu_inplace(const Tensor& row);
-  void add_row_relu_inplace(const Tensor& row, const ParallelContext& ctx);
 
   /// Reinterpret the elements under a new shape (copies the buffer —
   /// through the pool when one is active); total size must be preserved.
@@ -121,33 +114,24 @@ class Tensor {
 };
 
 /// Cache-blocked, register-blocked GEMM kernels with full IEEE
-/// NaN/Inf propagation (no zero-operand skips). The one-argument-pair
-/// forms dispatch on ParallelContext::current(); the explicit-context
-/// forms take the context to use. For every context and thread count
-/// the result is bit-identical to the serial kernel: rows are
-/// partitioned into fixed contiguous chunks and every output element
-/// keeps a single ascending-k accumulation chain (see parallel.hpp).
+/// NaN/Inf propagation (no zero-operand skips). They run their rows
+/// serially on the calling thread, and every output element keeps a
+/// single ascending-k accumulation chain.
 ///
-/// On AVX2-capable hosts the row kernels additionally dispatch (once
-/// per call, before any row partitioning) to the SIMD microkernels of
-/// simd.hpp. The default `avx2` tier vectorizes across output columns
-/// with separately rounded mul+add, so it preserves the per-element
-/// accumulation chain exactly — results stay bit-identical to the
-/// scalar tier (and hence to every prior release). The opt-in
-/// `avx2fma` tier fuses the chain's mul+add pairs and is NOT
+/// On AVX2-capable hosts the row kernels dispatch (once per call) to
+/// the SIMD microkernels of simd.hpp. The default `avx2` tier vectorizes
+/// across output columns with separately rounded mul+add, so it
+/// preserves the per-element accumulation chain exactly — results stay
+/// bit-identical to the scalar tier (and hence to every prior release).
+/// The opt-in `avx2fma` tier fuses the chain's mul+add pairs and is NOT
 /// bit-identical; see simd.hpp for the contract and overrides.
 
 /// C = A * B. Shapes: (m x k) * (k x n) -> (m x n).
 Tensor matmul(const Tensor& a, const Tensor& b);
-Tensor matmul(const Tensor& a, const Tensor& b, const ParallelContext& ctx);
 /// C = A^T * B. Shapes: (k x m)^T * (k x n) -> (m x n).
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
-Tensor matmul_tn(const Tensor& a, const Tensor& b,
-                 const ParallelContext& ctx);
 /// C = A * B^T. Shapes: (m x k) * (n x k)^T -> (m x n).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
-Tensor matmul_nt(const Tensor& a, const Tensor& b,
-                 const ParallelContext& ctx);
 
 /// matmul / matmul_tn for a mostly-zero A, such as the one-hot
 /// architecture encodings the latency predictor trains and serves on.
@@ -163,35 +147,35 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b,
 /// dense work (few rows, or a dense A).
 /// Results are bit-identical to matmul / matmul_tn on every input.
 Tensor matmul_zero_skip(const Tensor& a, const Tensor& b);
-Tensor matmul_zero_skip(const Tensor& a, const Tensor& b,
-                        const ParallelContext& ctx);
 /// C = A^T * B with A's zero entries skipped; A is (k x m).
 Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b);
-Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b,
-                           const ParallelContext& ctx);
+
+/// Edge of the k-dimension cache block of the blocked GEMM kernels.
+/// Any edge gives the same bits: blocking never reorders an element's
+/// accumulation chain.
+constexpr std::size_t kGemmBlock = 64;
 
 /// Raw-pointer forms of the three GEMMs over caller-owned buffers.
 /// These hold the single dispatch path — one ISA resolution per call,
-/// kc = ctx.block(), row partitioning via should_parallelize/for_rows —
-/// and the Tensor wrappers above delegate to them, so a compiled
-/// execution plan (plan.hpp) running on arena storage goes through the
-/// exact same kernels, bit for bit, as the dynamic graph. Buffers must
-/// not alias; `c` holds the full output and is fully overwritten
-/// (k == 0 zero-fills it).
+/// kc = kGemmBlock — and the Tensor wrappers above delegate to them, so
+/// a compiled execution plan (plan.hpp) running on arena storage goes
+/// through the exact same kernels, bit for bit, as the dynamic graph.
+/// Buffers must not alias; `c` holds the full output and is fully
+/// overwritten (k == 0 zero-fills it).
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n, const ParallelContext& ctx);
+                 std::size_t k, std::size_t n);
 /// C = A^T * B with A stored (k x m) row-major; C is (m x n).
 void matmul_tn_into(const float* a, const float* b, float* c, std::size_t k,
-                    std::size_t m, std::size_t n, const ParallelContext& ctx);
+                    std::size_t m, std::size_t n);
 /// C = A * B^T with B stored (n x k) row-major; C is (m x n).
 void matmul_nt_into(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n, const ParallelContext& ctx);
+                    std::size_t k, std::size_t n);
 /// Raw-pointer row-broadcast helpers (the add_row_*_inplace bodies):
 /// data is (rows x cols), bias is one row of cols floats.
 void add_row_into(float* data, const float* bias, std::size_t rows,
-                  std::size_t cols, const ParallelContext& ctx);
+                  std::size_t cols);
 void add_row_relu_into(float* data, const float* bias, std::size_t rows,
-                       std::size_t cols, const ParallelContext& ctx);
+                       std::size_t cols);
 
 /// Row-range scalar GEMM kernels (the serial reference tier). Exposed
 /// so a compiled execution plan can pin a kernel pointer at compile

@@ -7,7 +7,6 @@
 
 #include "nn/ops.hpp"
 #include "nn/optim.hpp"
-#include "nn/parallel.hpp"
 #include "nn/pool.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -45,9 +44,6 @@ double MlpPredictor::train(const MeasurementDataset& data,
     }
   }
 
-  // Route every kernel in the loop (forward, backward, bias/ReLU)
-  // through the configured parallel context for the duration of train().
-  const nn::ParallelScope parallel_scope(config.parallel);
   // Memory-reuse layer: per-epoch graphs recycle instead of reallocating
   // (pure buffer recycling — weights are bit-identical either way).
   const nn::PooledScope pool_scope(config.pool_tensors
@@ -122,13 +118,6 @@ double MlpPredictor::predict_encoding(
   const nn::VarPtr out = mlp_->forward(nn::make_const(std::move(x)));
   return target_mean_ +
          target_std_ * static_cast<double>(out->value.item());
-}
-
-std::vector<double> MlpPredictor::predict_batch(
-    const std::vector<space::Architecture>& archs,
-    const nn::ParallelContext& ctx) const {
-  const nn::ParallelScope parallel_scope(&ctx);
-  return predict_batch(archs);
 }
 
 std::vector<double> MlpPredictor::predict_batch(

@@ -9,10 +9,6 @@
 #include "predictors/metrics.hpp"
 #include "predictors/predictor.hpp"
 
-namespace lightnas::nn {
-class ParallelContext;
-}
-
 namespace lightnas::predictors {
 
 /// Training hyper-parameters for the MLP predictor.
@@ -24,10 +20,6 @@ struct MlpTrainConfig {
   std::uint64_t seed = 7;
   /// Print progress every N epochs; 0 disables logging.
   std::size_t log_every = 0;
-  /// Parallel-kernel context for the training loop's GEMMs; null uses
-  /// ParallelContext::current() (serial unless the process configured a
-  /// global pool). Trained weights are bit-identical either way.
-  const nn::ParallelContext* parallel = nullptr;
   /// Recycle tensor buffers / autograd graphs through a nn::TensorPool
   /// for the duration of train() (inheriting a caller-installed pool).
   /// Trained weights are bit-identical with pooling on or off.
@@ -68,11 +60,6 @@ class MlpPredictor : public HardwarePredictor {
   /// this is the micro-batching service's hot path.
   std::vector<double> predict_batch(
       const std::vector<space::Architecture>& archs) const override;
-  /// Same, with the batched forward's kernels dispatched on `ctx`
-  /// instead of ParallelContext::current(). Bit-identical results.
-  std::vector<double> predict_batch(
-      const std::vector<space::Architecture>& archs,
-      const nn::ParallelContext& ctx) const;
 
   /// Differentiable prediction: input is a 1 x (L*K) Var (typically the
   /// binarized P-bar with a straight-through estimator attached); output

@@ -287,9 +287,6 @@ void PredictionService::answer_degraded(Request& request,
 
 void PredictionService::worker_loop(WorkerSlot* slot) {
   active_workers_.add(1);
-  // Install the shared GEMM context for every batched forward this
-  // worker runs (no-op when config_.parallel is null).
-  const nn::ParallelScope parallel_scope(config_.parallel);
   // Per-worker tensor pool: batch inputs and forward activations are
   // created on this thread, so under steady traffic every buffer is
   // recycled locally with no cross-thread traffic at all.

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "nn/parallel.hpp"
 #include "nn/pool.hpp"
 #include "predictors/predictor.hpp"
 #include "serve/cache.hpp"
@@ -59,12 +58,6 @@ struct ServiceConfig {
   /// Expired entries are revalidated through the oracle on the next
   /// miss and remain servable by the degraded-mode stale tier.
   std::chrono::milliseconds cache_ttl{0};
-  /// Parallel-kernel context the workers install for their batched
-  /// forwards (the GEMM pool is shared across workers; dispatches
-  /// interleave safely). Null leaves the per-thread default — serial
-  /// unless the process configured a global pool. Predictions are
-  /// bit-identical either way.
-  const nn::ParallelContext* parallel = nullptr;
   /// Give each worker a thread-local nn::TensorPool so steady-state
   /// batched forwards recycle their buffers instead of allocating.
   /// Predictions are bit-identical with pooling on or off.

@@ -5,13 +5,18 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 
 namespace lightnas::serve {
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  assert(n > 0);
+  // Checked in every build: with n == 0 the normalization below would
+  // write through back() of an empty vector.
+  if (n == 0) {
+    throw std::invalid_argument("ZipfSampler: need at least one rank");
+  }
   cdf_.reserve(n);
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {

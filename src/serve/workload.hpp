@@ -18,6 +18,7 @@ namespace lightnas::serve {
 /// (trivially cached). Sampling is O(log n) via CDF bisection.
 class ZipfSampler {
  public:
+  /// Throws std::invalid_argument when n == 0.
   ZipfSampler(std::size_t n, double s);
 
   std::size_t sample(util::Rng& rng) const;

@@ -347,20 +347,38 @@ TEST_F(CampaignTest, WatchdogFreezesDivergedJobsAndCampaignSurvives) {
 }
 
 // Job-level multiplexing onto the parallel context must not change a
-// single bit of any trajectory — and, in the LIGHTNAS_TSAN build, this
-// doubles as the concurrent K-target data-race smoke test.
+// single bit of any trajectory, and a checkpoint written at 4 lanes must
+// resume exactly at 1 lane. In the LIGHTNAS_TSAN build this doubles as
+// the concurrent K-target data-race smoke test.
 TEST_F(CampaignTest, ThreadedCampaignMatchesSerialBitExactly) {
   const CampaignResult serial = make_orchestrator(tiny_config()).run();
 
-  nn::ParallelConfig parallel_config;
-  parallel_config.threads = 4;
-  const nn::ParallelContext context(parallel_config);
+  const nn::ParallelContext context(nn::ParallelConfig{4});
   CampaignConfig threaded_config = tiny_config();
   threaded_config.search.parallel = &context;
   const CampaignResult threaded =
       make_orchestrator(threaded_config).run();
 
   expect_identical(serial, threaded);
+
+  // Stop the 4-lane campaign after epoch 5 and resume its checkpoint
+  // serially: the lane count is not part of the checkpoint.
+  constexpr std::size_t kStopAt = 5;
+  std::optional<CampaignCheckpoint> saved;
+  CampaignHooks hooks;
+  hooks.on_checkpoint = [&](const CampaignCheckpoint& ck) { saved = ck; };
+  hooks.should_stop = [](std::size_t done) { return done >= kStopAt; };
+  const CampaignResult partial = make_orchestrator(threaded_config).run(hooks);
+  EXPECT_TRUE(partial.interrupted);
+  ASSERT_TRUE(saved.has_value());
+  ASSERT_EQ(saved->next_epoch, kStopAt);
+
+  CampaignHooks resume;
+  resume.resume = &*saved;
+  const CampaignResult resumed = make_orchestrator(tiny_config()).run(resume);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.resumed_from_epoch, kStopAt);
+  expect_identical(serial, resumed);
 }
 
 }  // namespace

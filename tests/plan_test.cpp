@@ -1,7 +1,7 @@
 // Tests of the plan compiler (nn/plan.hpp): recording the supported op
 // vocabulary, poisoning on anything else, bit-identity of compiled
-// execution against the dynamic autograd path across ISA tiers and
-// thread counts, cache trigger/invalidation semantics, the serialized
+// execution against the dynamic autograd path across ISA tiers and on
+// job-level lanes, cache trigger/invalidation semantics, the serialized
 // plan artifact round-trip, and full-search trajectory equivalence
 // (including kill/resume) with plans enabled.
 
@@ -149,16 +149,11 @@ void expect_matches_dynamic(const DynamicResult& expect, float loss,
   }
 }
 
-/// The core bit-identity check: compile against an explicit ISA tier
-/// and thread count, execute, and compare loss + every parameter
-/// gradient bitwise against the dynamic path in the same environment.
-void check_plan_vs_dynamic(IsaLevel isa, std::size_t threads) {
+/// The core bit-identity check: compile against an explicit ISA tier,
+/// execute, and compare loss + every parameter gradient bitwise against
+/// the dynamic path in the same environment.
+void check_plan_vs_dynamic(IsaLevel isa) {
   const ScopedIsa forced(isa);
-  nn::ParallelConfig pc;
-  pc.threads = threads;
-  pc.min_work = 1;  // make the tiny GEMMs actually partition
-  const nn::ParallelContext ctx(pc);
-  const nn::ParallelScope scope(&ctx);
 
   const nn::Tensor features = random_tensor(kBatch, kIn, 42);
   const std::vector<std::size_t> labels = make_labels();
@@ -170,54 +165,64 @@ void check_plan_vs_dynamic(IsaLevel isa, std::size_t threads) {
   EXPECT_EQ(c.program->num_label_bindings, 1u);
 
   const std::unique_ptr<nn::plan::ExecutionPlan> plan =
-      nn::plan::ExecutionPlan::compile(*c.program, nn::plan::CompileOptions{},
-                                       ctx);
+      nn::plan::ExecutionPlan::compile(*c.program, nn::plan::CompileOptions{});
   ASSERT_NE(plan, nullptr);
   EXPECT_TRUE(plan->has_backward());
   EXPECT_EQ(plan->fused_ops(), 3u);  // two linear+relu chains + classifier
   EXPECT_GT(plan->arena_bytes(), 0u);
 
-  ASSERT_TRUE(plan->execute({&features}, {&labels}, ctx));
+  ASSERT_TRUE(plan->execute({&features}, {&labels}));
   ASSERT_EQ(plan->root_rows(), 1u);
   ASSERT_EQ(plan->root_cols(), 1u);
   expect_matches_dynamic(expect, plan->root_data()[0], c.model);
 }
 
+/// Plans are thread-confined: jobs on the lanes of a job-level context
+/// each record, compile and execute their own plan, on pool threads
+/// too, and every one matches the dynamic path.
+void check_plans_on_lanes(IsaLevel isa) {
+  const nn::ParallelContext lanes(nn::ParallelConfig{4});
+  lanes.for_rows(4, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t job = begin; job < end; ++job) {
+      check_plan_vs_dynamic(isa);
+    }
+  });
+}
+
 TEST(PlanExecute, BitIdenticalScalarSerial) {
-  check_plan_vs_dynamic(IsaLevel::kScalar, 1);
+  check_plan_vs_dynamic(IsaLevel::kScalar);
 }
 
 TEST(PlanExecute, BitIdenticalScalarParallel) {
-  check_plan_vs_dynamic(IsaLevel::kScalar, 4);
+  check_plans_on_lanes(IsaLevel::kScalar);
 }
 
 TEST(PlanExecute, BitIdenticalAvx2Serial) {
   if (!avx2_usable()) GTEST_SKIP() << "no AVX2 tier on this host/build";
-  check_plan_vs_dynamic(IsaLevel::kAvx2, 1);
+  check_plan_vs_dynamic(IsaLevel::kAvx2);
 }
 
 TEST(PlanExecute, BitIdenticalAvx2Parallel) {
   if (!avx2_usable()) GTEST_SKIP() << "no AVX2 tier on this host/build";
-  check_plan_vs_dynamic(IsaLevel::kAvx2, 4);
+  check_plans_on_lanes(IsaLevel::kAvx2);
 }
 
 TEST(PlanExecute, RepeatedExecuteIsDeterministic) {
-  const nn::ParallelContext ctx{};
   const nn::Tensor features = random_tensor(kBatch, kIn, 42);
   const std::vector<std::size_t> labels = make_labels();
   Captured c = record_program(3, features, labels);
   ASSERT_NE(c.program, nullptr);
   const auto plan = nn::plan::ExecutionPlan::compile(
-      *c.program, nn::plan::CompileOptions{}, ctx);
+      *c.program, nn::plan::CompileOptions{});
   ASSERT_NE(plan, nullptr);
 
-  ASSERT_TRUE(plan->execute({&features}, {&labels}, ctx));
+  ASSERT_TRUE(plan->execute({&features}, {&labels}));
   const float first_loss = plan->root_data()[0];
   std::vector<nn::Tensor> first_grads;
   for (const nn::VarPtr& p : c.model.params()) first_grads.push_back(p->grad);
 
   for (const nn::VarPtr& p : c.model.params()) p->zero_grad();
-  ASSERT_TRUE(plan->execute({&features}, {&labels}, ctx));
+  ASSERT_TRUE(plan->execute({&features}, {&labels}));
   EXPECT_TRUE(float_bits_equal(first_loss, plan->root_data()[0]));
   const std::vector<nn::VarPtr> params = c.model.params();
   for (std::size_t i = 0; i < params.size(); ++i) {
@@ -228,7 +233,6 @@ TEST(PlanExecute, RepeatedExecuteIsDeterministic) {
 TEST(PlanExecute, GradsAccumulateLikeDynamicBackward) {
   // Two executes without zero_grad must double the gradients, exactly
   // like running dynamic backward twice.
-  const nn::ParallelContext ctx{};
   const nn::Tensor features = random_tensor(kBatch, kIn, 42);
   const std::vector<std::size_t> labels = make_labels();
 
@@ -240,10 +244,10 @@ TEST(PlanExecute, GradsAccumulateLikeDynamicBackward) {
   Captured c = record_program(5, features, labels);
   ASSERT_NE(c.program, nullptr);
   const auto plan = nn::plan::ExecutionPlan::compile(
-      *c.program, nn::plan::CompileOptions{}, ctx);
+      *c.program, nn::plan::CompileOptions{});
   ASSERT_NE(plan, nullptr);
-  ASSERT_TRUE(plan->execute({&features}, {&labels}, ctx));
-  ASSERT_TRUE(plan->execute({&features}, {&labels}, ctx));
+  ASSERT_TRUE(plan->execute({&features}, {&labels}));
+  ASSERT_TRUE(plan->execute({&features}, {&labels}));
 
   const std::vector<nn::VarPtr> expect = dyn.params();
   const std::vector<nn::VarPtr> got = c.model.params();
@@ -254,7 +258,6 @@ TEST(PlanExecute, GradsAccumulateLikeDynamicBackward) {
 }
 
 TEST(PlanExecute, RejectsMismatchedBindingsWithoutSideEffects) {
-  const nn::ParallelContext ctx{};
   const nn::Tensor features = random_tensor(kBatch, kIn, 42);
   const std::vector<std::size_t> labels = make_labels();
   const DynamicResult expect = run_dynamic(9, features, labels);
@@ -262,30 +265,29 @@ TEST(PlanExecute, RejectsMismatchedBindingsWithoutSideEffects) {
   Captured c = record_program(9, features, labels);
   ASSERT_NE(c.program, nullptr);
   const auto plan = nn::plan::ExecutionPlan::compile(
-      *c.program, nn::plan::CompileOptions{}, ctx);
+      *c.program, nn::plan::CompileOptions{});
   ASSERT_NE(plan, nullptr);
 
   // Wrong input shape.
   const nn::Tensor wrong_shape = random_tensor(kBatch, kIn + 1, 42);
-  EXPECT_FALSE(plan->execute({&wrong_shape}, {&labels}, ctx));
+  EXPECT_FALSE(plan->execute({&wrong_shape}, {&labels}));
   // Wrong binding counts.
-  EXPECT_FALSE(plan->execute({}, {&labels}, ctx));
-  EXPECT_FALSE(plan->execute({&features}, {}, ctx));
+  EXPECT_FALSE(plan->execute({}, {&labels}));
+  EXPECT_FALSE(plan->execute({&features}, {}));
   // Wrong label count and out-of-range label.
   const std::vector<std::size_t> short_labels = {1, 0};
-  EXPECT_FALSE(plan->execute({&features}, {&short_labels}, ctx));
+  EXPECT_FALSE(plan->execute({&features}, {&short_labels}));
   const std::vector<std::size_t> bad_labels = {1, 0, 3, 2, kClasses};
-  EXPECT_FALSE(plan->execute({&features}, {&bad_labels}, ctx));
+  EXPECT_FALSE(plan->execute({&features}, {&bad_labels}));
 
   // The rejected calls must not have touched the gradients: a clean
   // execute afterwards still matches the dynamic reference exactly.
-  ASSERT_TRUE(plan->execute({&features}, {&labels}, ctx));
+  ASSERT_TRUE(plan->execute({&features}, {&labels}));
   expect_matches_dynamic(expect, plan->root_data()[0], c.model);
 }
 
 TEST(PlanExecute, StaleIsaPlanIsDetected) {
   if (!avx2_usable()) GTEST_SKIP() << "no AVX2 tier on this host/build";
-  const nn::ParallelContext ctx{};
   const nn::Tensor features = random_tensor(kBatch, kIn, 42);
   const std::vector<std::size_t> labels = make_labels();
   Captured c = record_program(2, features, labels);
@@ -295,12 +297,12 @@ TEST(PlanExecute, StaleIsaPlanIsDetected) {
   {
     const ScopedIsa scalar(IsaLevel::kScalar);
     plan = nn::plan::ExecutionPlan::compile(*c.program,
-                                            nn::plan::CompileOptions{}, ctx);
+                                            nn::plan::CompileOptions{});
     ASSERT_NE(plan, nullptr);
-    EXPECT_TRUE(plan->valid_for(ctx));
+    EXPECT_TRUE(plan->valid());
   }
   const ScopedIsa vec(IsaLevel::kAvx2);
-  EXPECT_FALSE(plan->valid_for(ctx));
+  EXPECT_FALSE(plan->valid());
 }
 
 TEST(PlanRecording, UnsupportedOpPoisonsCapture) {
@@ -334,13 +336,12 @@ TEST(PlanCacheTest, CompileAfterTriggerAndHitCounting) {
   settings.enabled = true;
   settings.compile_after = 2;
   nn::plan::PlanCache cache(settings);
-  const nn::ParallelContext ctx{};
   const std::string key = "0,1,2:5x7";
 
   const nn::plan::PlanStats before = nn::plan::global_stats();
-  EXPECT_EQ(cache.lookup(key, ctx), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_FALSE(cache.should_record(key));  // 1 request < compile_after
-  EXPECT_EQ(cache.lookup(key, ctx), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_TRUE(cache.should_record(key));  // 2 requests, no plan yet
 
   const nn::Tensor features = random_tensor(kBatch, kIn, 42);
@@ -348,12 +349,12 @@ TEST(PlanCacheTest, CompileAfterTriggerAndHitCounting) {
   Captured c = record_program(1, features, labels);
   ASSERT_NE(c.program, nullptr);
   cache.store(key, nn::plan::ExecutionPlan::compile(
-                       *c.program, nn::plan::CompileOptions{}, ctx));
+                       *c.program, nn::plan::CompileOptions{}));
   EXPECT_FALSE(cache.should_record(key));  // plan installed
 
-  nn::plan::ExecutionPlan* plan = cache.lookup(key, ctx);
+  nn::plan::ExecutionPlan* plan = cache.lookup(key);
   ASSERT_NE(plan, nullptr);
-  ASSERT_TRUE(plan->execute({&features}, {&labels}, ctx));
+  ASSERT_TRUE(plan->execute({&features}, {&labels}));
 
   const nn::plan::PlanStats delta = nn::plan::global_stats() - before;
   EXPECT_EQ(delta.misses, 2u);
@@ -367,9 +368,8 @@ TEST(PlanCacheTest, DisabledCacheNeverRecords) {
   nn::plan::PlanSettings settings;
   settings.enabled = false;
   nn::plan::PlanCache cache(settings);
-  const nn::ParallelContext ctx{};
   const nn::plan::PlanStats before = nn::plan::global_stats();
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(cache.lookup("k", ctx), nullptr);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(cache.lookup("k"), nullptr);
   EXPECT_FALSE(cache.should_record("k"));
   const nn::plan::PlanStats delta = nn::plan::global_stats() - before;
   EXPECT_EQ(delta.misses, 0u);
@@ -382,7 +382,6 @@ TEST(PlanCacheTest, IsaChangeDropsStalePlanAndRetriggers) {
   settings.enabled = true;
   settings.compile_after = 1;
   nn::plan::PlanCache cache(settings);
-  const nn::ParallelContext ctx{};
   const std::string key = "k";
 
   const nn::Tensor features = random_tensor(kBatch, kIn, 42);
@@ -392,15 +391,15 @@ TEST(PlanCacheTest, IsaChangeDropsStalePlanAndRetriggers) {
 
   {
     const ScopedIsa scalar(IsaLevel::kScalar);
-    EXPECT_EQ(cache.lookup(key, ctx), nullptr);
+    EXPECT_EQ(cache.lookup(key), nullptr);
     cache.store(key, nn::plan::ExecutionPlan::compile(
-                         *c.program, nn::plan::CompileOptions{}, ctx));
-    EXPECT_NE(cache.lookup(key, ctx), nullptr);
+                         *c.program, nn::plan::CompileOptions{}));
+    EXPECT_NE(cache.lookup(key), nullptr);
   }
   // Under a different ISA tier the stored plan is stale: the lookup
   // must miss, drop it, and re-arm recording for this key.
   const ScopedIsa vec(IsaLevel::kAvx2);
-  EXPECT_EQ(cache.lookup(key, ctx), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_TRUE(cache.should_record(key));
 }
 
@@ -409,12 +408,11 @@ TEST(PlanCacheTest, NullStoreMarksKeyUncompilable) {
   settings.enabled = true;
   settings.compile_after = 1;
   nn::plan::PlanCache cache(settings);
-  const nn::ParallelContext ctx{};
-  EXPECT_EQ(cache.lookup("bad", ctx), nullptr);
+  EXPECT_EQ(cache.lookup("bad"), nullptr);
   EXPECT_TRUE(cache.should_record("bad"));
   cache.store("bad", nullptr);
   EXPECT_FALSE(cache.should_record("bad"));
-  EXPECT_EQ(cache.lookup("bad", ctx), nullptr);
+  EXPECT_EQ(cache.lookup("bad"), nullptr);
   EXPECT_FALSE(cache.should_record("bad"));
 }
 
@@ -443,7 +441,6 @@ TEST(PlanSettingsTest, FromEnvParsesOverrides) {
 }
 
 TEST(PlanRoundTrip, SerializeLoadBindExecute) {
-  const nn::ParallelContext ctx{};
   const nn::Tensor features = random_tensor(kBatch, kIn, 42);
   const std::vector<std::size_t> labels = make_labels();
   const DynamicResult expect = run_dynamic(13, features, labels);
@@ -464,7 +461,7 @@ TEST(PlanRoundTrip, SerializeLoadBindExecute) {
 
   // Unbound parameters: the loaded program must not compile yet.
   EXPECT_EQ(nn::plan::ExecutionPlan::compile(loaded,
-                                             nn::plan::CompileOptions{}, ctx),
+                                             nn::plan::CompileOptions{}),
             nullptr);
 
   // Bind against a fresh same-seed model and run: bit-identical to the
@@ -472,9 +469,9 @@ TEST(PlanRoundTrip, SerializeLoadBindExecute) {
   const TinyModel host = make_model(13);
   io::bind_program_params(loaded, host.params());
   const auto plan = nn::plan::ExecutionPlan::compile(
-      loaded, nn::plan::CompileOptions{}, ctx);
+      loaded, nn::plan::CompileOptions{});
   ASSERT_NE(plan, nullptr);
-  ASSERT_TRUE(plan->execute({&features}, {&labels}, ctx));
+  ASSERT_TRUE(plan->execute({&features}, {&labels}));
   expect_matches_dynamic(expect, plan->root_data()[0], host);
 }
 
@@ -498,7 +495,6 @@ TEST(PlanRoundTrip, BindRejectsMissingOrMismatchedParams) {
 }
 
 TEST(PredictorPlan, ForwardOnlyPlanMatchesForwardVar) {
-  const nn::ParallelContext ctx{};
   const std::size_t layers = 4, ops = 3;
   // forward_var requires a trained predictor; fabricate one through the
   // state round-trip so the test stays fast (the weights' values are
@@ -524,10 +520,10 @@ TEST(PredictorPlan, ForwardOnlyPlanMatchesForwardVar) {
 
   nn::plan::CompileOptions opts;
   opts.backward = false;
-  const auto plan = nn::plan::ExecutionPlan::compile(*program, opts, ctx);
+  const auto plan = nn::plan::ExecutionPlan::compile(*program, opts);
   ASSERT_NE(plan, nullptr);
   EXPECT_FALSE(plan->has_backward());
-  ASSERT_TRUE(plan->execute({&encoding}, {}, ctx));
+  ASSERT_TRUE(plan->execute({&encoding}, {}));
   EXPECT_TRUE(
       float_bits_equal(dynamic->value.item(), plan->root_data()[0]));
 }

@@ -324,7 +324,7 @@ class PoolIdentityTest : public ::testing::Test {
     task_ = nn::make_synthetic_task(task);
   }
 
-  core::SearchResult run_search(bool pooled, const ParallelContext* ctx) {
+  core::SearchResult run_search(bool pooled) {
     core::LightNasConfig config;
     config.target = 22.0;
     config.epochs = 4;
@@ -334,7 +334,6 @@ class PoolIdentityTest : public ::testing::Test {
     config.batch_size = 32;
     config.seed = 3;
     config.pool_tensors = pooled;
-    config.parallel = ctx;
     core::LightNas engine(space_, oracle_, task_, core::SupernetConfig{},
                           config);
     return engine.search();
@@ -364,8 +363,8 @@ class PoolIdentityTest : public ::testing::Test {
 };
 
 TEST_F(PoolIdentityTest, SearchTrajectoryIsBitIdenticalPooledVsUnpooled) {
-  const core::SearchResult unpooled = run_search(false, nullptr);
-  const core::SearchResult pooled = run_search(true, nullptr);
+  const core::SearchResult unpooled = run_search(false);
+  const core::SearchResult pooled = run_search(true);
   expect_identical(unpooled, pooled);
   // The pooled run must actually have recycled buffers.
   EXPECT_GT(pooled.health.pool_buffer_hits, 0u);
@@ -373,12 +372,19 @@ TEST_F(PoolIdentityTest, SearchTrajectoryIsBitIdenticalPooledVsUnpooled) {
 }
 
 TEST_F(PoolIdentityTest, PooledThreadedSearchMatchesSerialUnpooled) {
-  ParallelConfig pc;
-  pc.threads = 4;
-  const ParallelContext ctx(pc);
-  const core::SearchResult serial_unpooled = run_search(false, nullptr);
-  const core::SearchResult threaded_pooled = run_search(true, &ctx);
-  expect_identical(serial_unpooled, threaded_pooled);
+  // Pooled searches run as jobs on two lanes, one of them a pool
+  // thread with its own thread-local TensorPool.
+  const core::SearchResult serial_unpooled = run_search(false);
+  const ParallelContext lanes(ParallelConfig{2});
+  std::vector<core::SearchResult> threaded_pooled(2);
+  lanes.for_rows(2, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) {
+      threaded_pooled[j] = run_search(true);
+    }
+  });
+  for (const core::SearchResult& result : threaded_pooled) {
+    expect_identical(serial_unpooled, result);
+  }
 }
 
 TEST_F(PoolIdentityTest, TrainedPredictorWeightsAreBitIdentical) {
@@ -389,32 +395,25 @@ TEST_F(PoolIdentityTest, TrainedPredictorWeightsAreBitIdentical) {
       predictors::build_measurement_dataset(
           space_, device, 300, predictors::Metric::kLatencyMs, rng);
 
-  auto train = [&](bool pooled, const ParallelContext* ctx) {
+  auto train = [&](bool pooled) {
     predictors::MlpPredictor mlp(space_.num_layers(), space_.num_ops(), 7);
     predictors::MlpTrainConfig config;
     config.epochs = 12;
     config.batch_size = 64;
     config.pool_tensors = pooled;
-    config.parallel = ctx;
     mlp.train(data, config);
     return mlp.export_state();
   };
 
-  ParallelConfig pc;
-  pc.threads = 4;
-  const ParallelContext ctx(pc);
-  const auto unpooled = train(false, nullptr);
+  const auto unpooled = train(false);
   const PoolStats before = TensorPool::global_stats();
-  const auto pooled = train(true, nullptr);
+  const auto pooled = train(true);
   const PoolStats delta = TensorPool::global_stats() - before;
   EXPECT_GT(delta.buffer_hits, 0u);
-  const auto pooled_threaded = train(true, &ctx);
 
   ASSERT_EQ(unpooled.tensors.size(), pooled.tensors.size());
   for (std::size_t i = 0; i < unpooled.tensors.size(); ++i) {
     EXPECT_EQ(unpooled.tensors[i], pooled.tensors[i]) << "tensor " << i;
-    EXPECT_EQ(unpooled.tensors[i], pooled_threaded.tensors[i])
-        << "tensor " << i;
   }
   EXPECT_EQ(unpooled.target_mean, pooled.target_mean);
   EXPECT_EQ(unpooled.target_std, pooled.target_std);

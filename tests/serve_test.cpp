@@ -6,6 +6,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -392,6 +393,12 @@ TEST(ZipfSampler, CoversFullRange) {
   std::vector<int> counts(4, 0);
   for (int i = 0; i < 4000; ++i) ++counts[zipf.sample(rng)];
   for (int c : counts) EXPECT_GT(c, 0);
+}
+
+// An empty rank range is rejected in every build, Release included:
+// normalizing its CDF would write through back() of an empty vector.
+TEST(ZipfSampler, RejectsEmptyRangeInEveryBuild) {
+  EXPECT_THROW(ZipfSampler(0, 1.1), std::invalid_argument);
 }
 
 TEST(Workload, RandomPoolIsDistinct) {

@@ -6,10 +6,11 @@ BENCH_*.json files via bench::update_bench_json. This checker is the
 tier-1 guard that those artifacts stay well-formed: for each known
 (file, section) pair it verifies that
 
-  - every required key is present and has the expected JSON type, and
-  - every gate key holds a passing value (booleans must be true; the
-    train-throughput speedup gate must be "pass" or an explicit
-    skipped_* verdict, never "fail").
+  - every required key is present and has the expected JSON type,
+  - every timed reading matches the section's "measured" flag: a
+    positive number when true, null when false (a smoke run skips the
+    timed legs, and a 0 there would read as a measurement), and
+  - every gate key is true.
 
 Files that do not exist are skipped (only the benches that have run
 emit them), but a file that exists must contain at least one known
@@ -30,17 +31,20 @@ import os
 import sys
 
 BOOL, NUM, STR, LIST, OBJECT = "bool", "num", "str", "list", "object"
+# A timed reading: a positive number when the section's "measured" is
+# true, null when it is false.
+READING = "reading"
 
-# Gate values: True means "boolean key that must be true".
-# A set of strings means "string key whose value must be in the set".
+# Every gate key must hold true.
 SCHEMAS = {
     ("BENCH_plan.json", "plan_compile"): {
         "keys": {
             "bench": STR,
             "smoke": BOOL,
-            "steps_per_s_dynamic": NUM,
-            "steps_per_s_planned": NUM,
-            "speedup": NUM,
+            "measured": BOOL,
+            "steps_per_s_dynamic": READING,
+            "steps_per_s_planned": READING,
+            "speedup": READING,
             "exec_heap_allocs": NUM,
             "exec_pool_ops": NUM,
             "steady_heap_allocs": NUM,
@@ -63,44 +67,18 @@ SCHEMAS = {
             "predictor_bit_identical": True,
         },
     },
-    ("BENCH_train.json", "throughput"): {
-        "keys": {
-            "bench": STR,
-            "smoke": BOOL,
-            "steps_per_s_serial": NUM,
-            "speedup_at_4_threads": NUM,
-            "hw_threads": NUM,
-            "search_s_serial": NUM,
-            "search_s_4_threads": NUM,
-            "search_s_planned": NUM,
-            "plan_hits": NUM,
-            "plan_misses": NUM,
-            "plan_compiles": NUM,
-            "plan_fused_ops": NUM,
-            "plan_arena_bytes": NUM,
-            "pool_hit_rate": NUM,
-            "pool_misses": NUM,
-            "pool_steady_misses": NUM,
-            "pool_steady_hit_rate": NUM,
-            "peak_rss_bytes": NUM,
-        },
-        "gates": {
-            "bit_identical": True,
-            "pool_steady_zero_miss": True,
-            "speedup_gate": {"pass", "skipped_smoke", "skipped_low_core"},
-        },
-    },
     ("BENCH_alloc.json", "steady_state"): {
         "keys": {
             "bench": STR,
             "smoke": BOOL,
-            "train_steps_per_s_pooled": NUM,
-            "train_steps_per_s_unpooled": NUM,
-            "train_speedup": NUM,
-            "search_steps_per_s_pooled": NUM,
-            "search_steps_per_s_unpooled": NUM,
-            "search_speedup": NUM,
-            "pool_hit_rate": NUM,
+            "measured": BOOL,
+            "train_steps_per_s_pooled": READING,
+            "train_steps_per_s_unpooled": READING,
+            "train_speedup": READING,
+            "search_steps_per_s_pooled": READING,
+            "search_steps_per_s_unpooled": READING,
+            "search_speedup": READING,
+            "pool_hit_rate": READING,
             "steady_buffer_misses": NUM,
             "steady_node_misses": NUM,
             "peak_rss_bytes": NUM,
@@ -188,13 +166,17 @@ SCHEMAS = {
 }
 
 
-def type_ok(value, tag):
+def type_ok(value, tag, measured):
     if tag == BOOL:
         return isinstance(value, bool)
     if tag == NUM:
         # bool is an int subclass in Python; a bench emitting true where
         # a number belongs is a schema violation, not a number.
         return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tag == READING:
+        if measured is False:
+            return value is None
+        return type_ok(value, NUM, measured) and value > 0
     if tag == STR:
         return isinstance(value, str)
     if tag == LIST:
@@ -209,32 +191,25 @@ def check_section(filename, section_name, section, schema, errors):
     if not isinstance(section, dict):
         errors.append(f"{where}: section is not a JSON object")
         return
+    measured = section.get("measured")
     for key, tag in schema["keys"].items():
         if key not in section:
             errors.append(f"{where}: missing key '{key}'")
-        elif not type_ok(section[key], tag):
+        elif not type_ok(section[key], tag, measured):
+            if tag == READING:
+                tag = "null" if measured is False else "a positive number"
             errors.append(
                 f"{where}: key '{key}' should be {tag}, "
                 f"got {json.dumps(section[key])[:60]}"
             )
-    for key, expect in schema["gates"].items():
+    for key in schema["gates"]:
         if key not in section:
             errors.append(f"{where}: missing gate key '{key}'")
-            continue
-        value = section[key]
-        if expect is True:
-            if value is not True:
-                errors.append(
-                    f"{where}: gate '{key}' is {json.dumps(value)}, "
-                    "expected true"
-                )
-        else:  # set of allowed strings
-            if value not in expect:
-                allowed = "|".join(sorted(expect))
-                errors.append(
-                    f"{where}: gate '{key}' is {json.dumps(value)}, "
-                    f"expected one of {allowed}"
-                )
+        elif section[key] is not True:
+            errors.append(
+                f"{where}: gate '{key}' is {json.dumps(section[key])}, "
+                "expected true"
+            )
 
 
 def check_file(path, errors):

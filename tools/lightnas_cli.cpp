@@ -40,20 +40,6 @@ using namespace lightnas;
 
 namespace {
 
-/// Install the process-wide parallel-kernel context from --threads /
-/// --gemm-block. Every command picks it up: predictor training, the
-/// search loop, batched serving forwards. Results are bit-identical to
-/// --threads 1; only wall-clock changes.
-void install_parallel_context(const cli::Args& args) {
-  nn::ParallelConfig config;
-  config.threads = std::max<std::size_t>(args.get_size("threads", 1), 1);
-  config.block = std::max<std::size_t>(
-      args.get_size("gemm-block", config.block), 1);
-  if (config.threads > 1 || args.has("gemm-block")) {
-    nn::ParallelContext::configure_global(config);
-  }
-}
-
 /// Apply --plan off|on|N to `plan` — the LIGHTNAS_PLAN grammar, except
 /// that an explicit flag with a typo'd value is an error (the env
 /// silently ignores unrecognized values; a typed flag must not).
@@ -321,6 +307,10 @@ int cmd_search_campaign(const cli::Args& args) {
   config.search.log_progress = args.get("verbose", "0") != "0";
   config.search.pool_tensors = args.get("tensor-pool", "1") != "0";
   apply_plan_flag(args, config.search.plan);
+  // Lanes for the per-job phases; results are bit-identical for any N.
+  const nn::ParallelContext lanes(
+      nn::ParallelConfig{args.get_size("threads", 1)});
+  config.search.parallel = &lanes;
 
   nn::SyntheticTaskConfig task_config;
   task_config.train_size = args.get_size("task-size", 16384);
@@ -454,6 +444,9 @@ int cmd_serve_bench(const cli::Args& args) {
   const std::size_t samples = args.get_size("samples", 2000);
   const std::size_t epochs = args.get_size("epochs", 60);
   const std::size_t pool_size = args.get_size("pool", 2048);
+  if (pool_size == 0) {
+    throw std::runtime_error("flag --pool: must be at least 1");
+  }
   const double zipf_s = args.get_double("zipf", 1.1);
   const std::size_t clients =
       std::max<std::size_t>(args.get_size("clients", 32), 1);
@@ -636,9 +629,6 @@ void print_usage() {
       "usage: lightnas <command> [--flag value ...]\n"
       "\n"
       "global flags (every command):\n"
-      "  --threads N     parallel GEMM lanes for training/search/serving\n"
-      "                  (default 1 = serial; results are bit-identical)\n"
-      "  --gemm-block B  cache-block edge of the blocked GEMM kernels\n"
       "  --isa T         SIMD tier of the dense kernels: scalar | avx2 |\n"
       "                  avx2fma (default: best bit-identical tier the\n"
       "                  CPU supports; env LIGHTNAS_ISA overrides too).\n"
@@ -672,7 +662,10 @@ void print_usage() {
       "                  [--seed N] [--epochs N] [--warmup N]\n"
       "                  [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "                  [--resume DIR/campaign_checkpoint.json]\n"
-      "                  [--csv campaign.csv] --out campaign.json\n"
+      "                  [--threads N] [--csv campaign.csv]\n"
+      "                  --out campaign.json\n"
+      "                  --threads: lanes for the per-target epoch\n"
+      "                  evaluation (default 1; results are bit-identical)\n"
       "  show            --result F | --arch \"0,1,...\" [--device D]\n"
       "  predict         --predictor F --arch \"0,1,...\"\n"
       "  serve-bench     [--predictor F] [--clients N] [--requests N]\n"
@@ -699,7 +692,6 @@ int main(int argc, char** argv) {
     }
     const std::string command = argv[1];
     const cli::Args args(argc - 1, argv + 1);
-    install_parallel_context(args);
     install_isa(args);
     if (command == "devices") return cmd_devices();
     if (command == "measure") return cmd_measure(args);
