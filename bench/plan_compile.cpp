@@ -2,27 +2,27 @@
 // (nn/plan.hpp) against the recycled-graph dynamic path.
 //
 // Gates (exit 1 on violation):
-//  - Throughput (full mode only): steady-state *planned* w-steps must be
-//    >= 1.3x the steps/s of the warmed dynamic path (buffer pool and
-//    node recycling both active — the strongest dynamic configuration) at the paper's
-//    embedded operating point (batch 8, fixed path), where Var/pool
+//  - Throughput (full mode only): steady-state *planned* w-steps
+//    (ExecutionPlan::execute + Sgd::step_on over the plan's parameter
+//    table) must be >= 1.3x the steps/s of a warmed dynamic
+//    SharedWTrainer::step on the same fixed path (buffer pool and node
+//    recycling both active — the strongest dynamic configuration) at the
+//    paper's embedded operating point (batch 8), where Var/pool
 //    bookkeeping — not GEMM arithmetic — dominates a step.
-//  - Zero overhead (always enforced): once a plan is compiled, further
-//    planned steps perform zero heap allocations (operator new is
-//    instrumented in this binary) and zero tensor-pool traffic.
-//  - Bit-identity (always enforced): full search trajectories with
-//    plans enabled are bit-identical to the dynamic engine, including
-//    through a checkpoint kill + resume.
+//  - Zero overhead (always enforced): once a plan is compiled, execute()
+//    alone and a full planned step (execute + sparse SGD + grad zero)
+//    perform zero heap allocations (operator new is instrumented in this
+//    binary) and zero tensor-pool traffic.
 //  - Artifact round-trip (always enforced): recorded programs survive
 //    save_plan -> load_plan -> bind_program_params -> compile with
-//    bit-identical execution, and a cache warmed from the artifact
-//    serves hits from the first lookup (no dynamic steps needed).
+//    bit-identical execution.
 //  - Predictor plans (always enforced): a forward-only plan of the MLP
 //    predictor matches forward_var bit-for-bit.
 //
 // Results are emitted machine-readably to BENCH_plan.json; the timed
 // readings are null (with "measured": false) in smoke runs.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -39,10 +39,10 @@
 #include "common.hpp"
 #include "core/lightnas.hpp"
 #include "core/search_step.hpp"
-#include "hw/cost_model.hpp"
 #include "io/json.hpp"
 #include "io/serialize.hpp"
 #include "nn/ops.hpp"
+#include "nn/optim.hpp"
 #include "nn/plan.hpp"
 #include "nn/pool.hpp"
 #include "predictors/mlp_predictor.hpp"
@@ -86,12 +86,9 @@ double now_seconds() {
       .count();
 }
 
-core::LightNasConfig trainer_config(bool planned) {
+core::LightNasConfig trainer_config() {
   core::LightNasConfig config;
   config.seed = 3;
-  config.plan = nn::plan::PlanSettings{};
-  config.plan.enabled = planned;
-  config.plan.compile_after = 2;
   return config;
 }
 
@@ -110,57 +107,105 @@ nn::Dataset make_batch(const nn::SyntheticTask& task, std::size_t rows) {
   return batch;
 }
 
+/// A w-step driven by a compiled plan of one fixed path: execute()
+/// for forward + backward, then the same cosine-scheduled sparse SGD
+/// and grad zero that SharedWTrainer::step runs, over the plan's
+/// parameter table. Steps the weights of `trainer`'s supernet with its
+/// own optimizer state.
+class PlannedStepper {
+ public:
+  PlannedStepper(const core::SharedWTrainer& trainer,
+                 const core::LightNasConfig& config, std::size_t total_steps,
+                 const nn::Dataset& batch,
+                 const std::vector<std::size_t>& path)
+      : weights_(trainer.weight_parameters()),
+        optimizer_(weights_, config.w_lr, config.w_momentum,
+                   config.w_weight_decay, /*clip_norm=*/5.0),
+        schedule_(config.w_lr, total_steps),
+        inputs_{&batch.features},
+        labels_{&batch.labels} {
+    std::unique_ptr<nn::plan::Program> program;
+    {
+      nn::plan::Recording recording;
+      const nn::VarPtr loss = nn::ops::softmax_cross_entropy(
+          trainer.supernet().forward_single_path(batch.features, path),
+          batch.labels);
+      program = recording.capture(loss);
+    }
+    if (program == nullptr) return;
+    plan_ = nn::plan::ExecutionPlan::compile(*program,
+                                             nn::plan::CompileOptions{});
+    for (const nn::plan::ProgramSlot& slot : program->slots) {
+      if (slot.kind != nn::plan::SlotKind::kParam) continue;
+      for (std::uint32_t i = 0; i < weights_.size(); ++i) {
+        if (weights_[i] == slot.param) active_.push_back(i);
+      }
+    }
+    std::sort(active_.begin(), active_.end());
+    active_.erase(std::unique(active_.begin(), active_.end()),
+                  active_.end());
+  }
+
+  nn::plan::ExecutionPlan* plan() { return plan_.get(); }
+  const std::vector<const nn::Tensor*>& inputs() const { return inputs_; }
+  const std::vector<const std::vector<std::size_t>*>& labels() const {
+    return labels_;
+  }
+
+  bool step() {
+    if (!plan_->execute(inputs_, labels_)) return false;
+    optimizer_.set_lr(schedule_.lr_at(step_counter_++));
+    optimizer_.step_on(active_);
+    for (const std::uint32_t i : active_) weights_[i]->zero_grad();
+    return true;
+  }
+
+ private:
+  std::vector<nn::VarPtr> weights_;
+  nn::Sgd optimizer_;
+  nn::CosineSchedule schedule_;
+  std::vector<const nn::Tensor*> inputs_;
+  std::vector<const std::vector<std::size_t>*> labels_;
+  std::unique_ptr<nn::plan::ExecutionPlan> plan_;
+  std::vector<std::uint32_t> active_;
+  std::size_t step_counter_ = 0;
+};
+
 /// Best-of-`reps` timing of `steps` fixed-path w-steps on a fresh
 /// trainer (warmed first so compiles / bucket discovery stay off the
-/// clock).
+/// clock): dynamic SharedWTrainer::step, or a PlannedStepper over the
+/// same supernet. Returns 0 if the plan cannot be built or executed.
 double time_steps(const core::SearchTopology& topology,
                   const nn::SyntheticTask& task, const nn::Dataset& batch,
                   const std::vector<std::size_t>& path, bool planned,
                   std::size_t steps, int reps) {
   nn::PooledScope scope(nn::PoolMode::kFresh);
+  const std::size_t total = steps * static_cast<std::size_t>(reps) + 16;
   core::SharedWTrainer trainer(topology, task, core::SupernetConfig{},
-                               trainer_config(planned),
-                               steps * static_cast<std::size_t>(reps) + 16);
-  for (int i = 0; i < 8; ++i) (void)trainer.step(batch, path);
+                               trainer_config(), total);
+  std::optional<PlannedStepper> stepper;
+  if (planned) {
+    stepper.emplace(trainer, trainer_config(), total, batch, path);
+    if (stepper->plan() == nullptr) return 0.0;
+  }
+  bool ok = true;
+  const auto run = [&](std::size_t n) {
+    for (std::size_t s = 0; s < n; ++s) {
+      if (stepper.has_value()) {
+        ok = stepper->step() && ok;
+      } else {
+        (void)trainer.step(batch, path);
+      }
+    }
+  };
+  run(8);
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     const double start = now_seconds();
-    for (std::size_t s = 0; s < steps; ++s) (void)trainer.step(batch, path);
+    run(steps);
     best = std::min(best, now_seconds() - start);
   }
-  return best;
-}
-
-core::LightNasConfig search_config(bool smoke, bool planned) {
-  core::LightNasConfig config;
-  config.seed = 3;
-  config.epochs = smoke ? 4 : 8;
-  config.warmup_epochs = 1;
-  config.w_steps_per_epoch = smoke ? 8 : 16;
-  config.alpha_steps_per_epoch = smoke ? 4 : 8;
-  config.batch_size = smoke ? 16 : 32;
-  config.target = 24.0;
-  config.plan = nn::plan::PlanSettings{};
-  config.plan.enabled = planned;
-  config.plan.compile_after = 1;
-  config.plan.max_plans = 64;
-  return config;
-}
-
-bool search_results_identical(const core::SearchResult& a,
-                              const core::SearchResult& b) {
-  if (a.trace.size() != b.trace.size()) return false;
-  for (std::size_t e = 0; e < a.trace.size(); ++e) {
-    if (a.trace[e].derived.ops() != b.trace[e].derived.ops() ||
-        a.trace[e].lambda != b.trace[e].lambda ||
-        a.trace[e].predicted_cost != b.trace[e].predicted_cost ||
-        a.trace[e].valid_loss != b.trace[e].valid_loss) {
-      return false;
-    }
-  }
-  return a.architecture.ops() == b.architecture.ops() &&
-         a.final_predicted_cost == b.final_predicted_cost &&
-         a.final_lambda == b.final_lambda;
+  return ok ? best : 0.0;
 }
 
 // --- artifact round-trip fixtures ---------------------------------------
@@ -233,7 +278,7 @@ int main(int argc, char** argv) {
 
   bench::banner("plan_compile",
                 "shape-specialized execution plans: throughput, zero "
-                "overhead, bit-identity, compiled-model artifacts");
+                "overhead, compiled-model artifacts");
 
   const space::SearchSpace space = space::SearchSpace::fbnet_xavier();
   const core::SearchTopology topology(space);
@@ -261,14 +306,16 @@ int main(int argc, char** argv) {
     const double planned_s =
         time_steps(topology, task, batch, path, true, steps, 3);
     steps_per_s_dynamic = static_cast<double>(steps) / dynamic_s;
-    steps_per_s_planned = static_cast<double>(steps) / planned_s;
+    steps_per_s_planned =
+        planned_s > 0.0 ? static_cast<double>(steps) / planned_s : 0.0;
     speedup = steps_per_s_planned / steps_per_s_dynamic;
 
     util::Table table({"path", "steps/s", "speedup", "gate"});
-    table.add_row({"dynamic (pooled)",
+    table.add_row({"dynamic trainer.step (pooled)",
                    util::fmt_double(steps_per_s_dynamic, 1), "1.0",
                    "reference"});
-    table.add_row({"planned", util::fmt_double(steps_per_s_planned, 1),
+    table.add_row({"execute + step_on",
+                   util::fmt_double(steps_per_s_planned, 1),
                    util::fmt_double(speedup, 2), ">= 1.3x"});
     std::printf("steady-state w-steps (batch 8, fixed path, best of 3):\n");
     table.print(std::cout);
@@ -285,75 +332,53 @@ int main(int argc, char** argv) {
   //  - plan->execute() alone must perform zero heap allocations and zero
   //    pool operations of any kind — the plan's own contract (no Var
   //    machinery, no buckets, no heap);
-  //  - a full planned trainer step (key build + cache lookup + execute +
-  //    sparse SGD) must do the same: the fused Sgd::step_on path reads
-  //    and writes parameters in place, so even the optimizer touches no
-  //    pooled buffers.
+  //  - a full planned step (execute + sparse SGD + grad zero) must do
+  //    the same: the fused Sgd::step_on path reads and writes parameters
+  //    in place, so even the optimizer touches no pooled buffers.
   std::uint64_t exec_heap_allocs = 1;
   std::uint64_t exec_pool_ops = 1;
-  std::uint64_t steady_heap_allocs = 0;
-  std::uint64_t steady_pool_misses = 0;
-  std::uint64_t steady_pool_hits = 0;
+  std::uint64_t steady_heap_allocs = 1;
+  std::uint64_t steady_pool_misses = 1;
+  std::uint64_t steady_pool_hits = 1;
   std::uint64_t steady_plan_hits = 0;
   const std::size_t steady_steps = smoke ? 32 : 256;
   {
     nn::PooledScope scope(nn::PoolMode::kFresh);
     core::SharedWTrainer trainer(topology, task, core::SupernetConfig{},
-                                 trainer_config(true), steady_steps + 16);
-    // Warm until the plan is compiled and serving (compile_after = 2).
-    for (int i = 0; i < 4; ++i) (void)trainer.step(batch, path);
+                                 trainer_config(), steady_steps + 16);
+    PlannedStepper stepper(trainer, trainer_config(), steady_steps + 16,
+                           batch, path);
+    if (stepper.plan() != nullptr) {
+      // Warm: ensure_grad allocations happen on the first steps only.
+      for (int i = 0; i < 4; ++i) (void)stepper.step();
 
-    // Pure-execute window: record the same forward on this supernet,
-    // compile a standalone plan, and drive execute() directly.
-    {
-      std::unique_ptr<nn::plan::Program> program;
-      {
-        nn::plan::Recording recording;
-        const nn::VarPtr logits =
-            trainer.supernet().forward_single_path(batch.features, path);
-        const nn::VarPtr loss =
-            nn::ops::softmax_cross_entropy(logits, batch.labels);
-        program = recording.capture(loss);
+      // Pure-execute window.
+      nn::PoolStats pool_before = nn::TensorPool::global_stats();
+      g_heap_allocs.store(0, std::memory_order_relaxed);
+      g_count_allocs.store(true, std::memory_order_relaxed);
+      for (std::size_t s = 0; s < steady_steps; ++s) {
+        (void)stepper.plan()->execute(stepper.inputs(), stepper.labels());
       }
-      std::unique_ptr<nn::plan::ExecutionPlan> plan =
-          program != nullptr ? nn::plan::ExecutionPlan::compile(
-                                   *program, nn::plan::CompileOptions{})
-                             : nullptr;
-      if (plan != nullptr) {
-        const std::vector<const nn::Tensor*> inputs = {&batch.features};
-        const std::vector<const std::vector<std::size_t>*> labels = {
-            &batch.labels};
-        (void)plan->execute(inputs, labels);  // ensure_grad warmup
-        const nn::PoolStats pool_before = nn::TensorPool::global_stats();
-        g_heap_allocs.store(0, std::memory_order_relaxed);
-        g_count_allocs.store(true, std::memory_order_relaxed);
-        for (std::size_t s = 0; s < steady_steps; ++s) {
-          (void)plan->execute(inputs, labels);
-        }
-        g_count_allocs.store(false, std::memory_order_relaxed);
-        const nn::PoolStats pd =
-            nn::TensorPool::global_stats() - pool_before;
-        exec_heap_allocs = g_heap_allocs.load(std::memory_order_relaxed);
-        exec_pool_ops = pd.buffer_hits + pd.buffer_misses + pd.node_hits +
-                        pd.node_misses;
-      }
-    }
+      g_count_allocs.store(false, std::memory_order_relaxed);
+      const nn::PoolStats pd = nn::TensorPool::global_stats() - pool_before;
+      exec_heap_allocs = g_heap_allocs.load(std::memory_order_relaxed);
+      exec_pool_ops = pd.buffer_hits + pd.buffer_misses + pd.node_hits +
+                      pd.node_misses;
 
-    // Full planned-step window: key build + lookup + execute + SGD.
-    const nn::PoolStats pool_before = nn::TensorPool::global_stats();
-    const nn::plan::PlanStats plan_before = nn::plan::global_stats();
-    g_heap_allocs.store(0, std::memory_order_relaxed);
-    g_count_allocs.store(true, std::memory_order_relaxed);
-    for (std::size_t s = 0; s < steady_steps; ++s) {
-      (void)trainer.step(batch, path);
+      // Full planned-step window: execute + step_on + grad zero.
+      pool_before = nn::TensorPool::global_stats();
+      const nn::plan::PlanStats plan_before = nn::plan::global_stats();
+      g_heap_allocs.store(0, std::memory_order_relaxed);
+      g_count_allocs.store(true, std::memory_order_relaxed);
+      for (std::size_t s = 0; s < steady_steps; ++s) (void)stepper.step();
+      g_count_allocs.store(false, std::memory_order_relaxed);
+      const nn::PoolStats pool_delta =
+          nn::TensorPool::global_stats() - pool_before;
+      steady_heap_allocs = g_heap_allocs.load(std::memory_order_relaxed);
+      steady_pool_misses = pool_delta.buffer_misses + pool_delta.node_misses;
+      steady_pool_hits = pool_delta.buffer_hits + pool_delta.node_hits;
+      steady_plan_hits = (nn::plan::global_stats() - plan_before).hits;
     }
-    g_count_allocs.store(false, std::memory_order_relaxed);
-    const nn::PoolStats pool_delta =
-        nn::TensorPool::global_stats() - pool_before;
-    steady_heap_allocs = g_heap_allocs.load(std::memory_order_relaxed);
-    steady_pool_misses = pool_delta.buffer_misses + pool_delta.node_misses;
-    steady_pool_hits = pool_delta.buffer_hits + pool_delta.node_hits;
-    steady_plan_hits = (nn::plan::global_stats() - plan_before).hits;
   }
   const bool zero_overhead =
       exec_heap_allocs == 0 && exec_pool_ops == 0 &&
@@ -364,7 +389,7 @@ int main(int argc, char** argv) {
               steady_steps,
               static_cast<unsigned long long>(exec_heap_allocs),
               static_cast<unsigned long long>(exec_pool_ops));
-  std::printf("planned trainer steps x%zu: %llu plan hits, %llu heap "
+  std::printf("planned steps x%zu: %llu plan hits, %llu heap "
               "allocs, %llu pool misses, %llu pool hits (required "
               "%zu/0/0/0)\n",
               steady_steps,
@@ -379,66 +404,10 @@ int main(int argc, char** argv) {
     all_pass = false;
   }
 
-  // --- 3. bit-identity: planned vs dynamic search, incl. kill/resume ---
-  predictors::MlpPredictor::State pstate =
-      predictors::MlpPredictor(space.num_layers(), space.num_ops(), 7)
-          .export_state();
-  pstate.trained = true;
-  pstate.target_mean = 12.0;
-  pstate.target_std = 2.5;
-  const predictors::MlpPredictor predictor =
-      predictors::MlpPredictor::from_state(pstate);
-
-  auto run_search = [&](bool planned,
-                        const core::SearchHooks* hooks) {
-    core::LightNas engine(space, predictor, task, core::SupernetConfig{},
-                          search_config(smoke, planned));
-    return hooks != nullptr ? engine.search(*hooks) : engine.search();
-  };
-  const core::SearchResult dynamic_run = run_search(false, nullptr);
-  const core::SearchResult planned_run = run_search(true, nullptr);
-  const bool full_identical =
-      search_results_identical(dynamic_run, planned_run);
-
-  // Kill after epoch 3, resume from the checkpoint, plans on throughout.
-  std::optional<core::SearchCheckpoint> saved;
-  core::SearchHooks kill;
-  kill.on_checkpoint = [&](const core::SearchCheckpoint& ck) { saved = ck; };
-  kill.should_stop = [](std::size_t done) { return done >= 3; };
-  (void)run_search(true, &kill);
-  bool resume_identical = false;
-  if (saved.has_value()) {
-    core::SearchHooks resume;
-    resume.resume = &*saved;
-    resume_identical =
-        search_results_identical(planned_run, run_search(true, &resume));
-  }
-  const bool search_bit_identical = full_identical && resume_identical;
-  std::printf("\nsearch trajectory, plans on vs off: %s\n",
-              full_identical ? "bit-identical" : "MISMATCH");
-  std::printf("kill/resume with plans on: %s\n",
-              resume_identical ? "bit-identical" : "MISMATCH");
-  std::printf("planned run plan telemetry: hits=%llu misses=%llu "
-              "compiles=%llu fused=%llu arena=%llu B\n",
-              static_cast<unsigned long long>(planned_run.health.plan_hits),
-              static_cast<unsigned long long>(
-                  planned_run.health.plan_misses),
-              static_cast<unsigned long long>(
-                  planned_run.health.plan_compiles),
-              static_cast<unsigned long long>(
-                  planned_run.health.plan_fused_ops),
-              static_cast<unsigned long long>(
-                  planned_run.health.plan_arena_bytes));
-  if (!search_bit_identical) {
-    std::printf("FAIL: plans changed an observable search result\n");
-    all_pass = false;
-  }
-
-  // --- 4. compiled-model artifact round-trip ---------------------------
+  // --- 3. compiled-model artifact round-trip ---------------------------
   const std::vector<MlpSpec> specs = {
       {8, 16, 32, 10}, {4, 7, 9, 3}, {16, 24, 24, 5}, {1, 12, 8, 2}};
   bool roundtrip_bit_identical = true;
-  bool roundtrip_cold_hits = true;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const MlpSpec& spec = specs[i];
     const nn::Tensor features =
@@ -486,25 +455,25 @@ int main(int argc, char** argv) {
         float_bits_equal(loss->value.item(), plan->root_data()[0]) &&
         grads_equal(reference.params(), host.params());
 
-    // A cache warmed from the artifact must serve hits cold: no
-    // dynamic steps, no compile trigger.
-    nn::plan::PlanSettings settings;
-    settings.enabled = true;
-    nn::plan::PlanCache cache(settings);
-    cache.store("artifact", std::move(plan));
-    roundtrip_cold_hits =
-        roundtrip_cold_hits && cache.lookup("artifact") != nullptr;
   }
-  std::printf("\nartifact round-trip over %zu specs: %s, cold cache hits: "
-              "%s\n",
-              specs.size(), roundtrip_bit_identical ? "bit-identical" : "FAIL",
-              roundtrip_cold_hits ? "yes" : "NO");
-  if (!roundtrip_bit_identical || !roundtrip_cold_hits) {
+  std::printf("\nartifact round-trip over %zu specs: %s\n", specs.size(),
+              roundtrip_bit_identical ? "bit-identical" : "FAIL");
+  if (!roundtrip_bit_identical) {
     std::printf("FAIL: compiled-model artifact round-trip broken\n");
     all_pass = false;
   }
 
-  // --- 5. forward-only predictor plans ---------------------------------
+  // --- 4. forward-only predictor plans ---------------------------------
+  // A fabricated trained predictor: only determinism matters here.
+  predictors::MlpPredictor::State pstate =
+      predictors::MlpPredictor(space.num_layers(), space.num_ops(), 7)
+          .export_state();
+  pstate.trained = true;
+  pstate.target_mean = 12.0;
+  pstate.target_std = 2.5;
+  const predictors::MlpPredictor predictor =
+      predictors::MlpPredictor::from_state(pstate);
+
   bool predictor_bit_identical = true;
   {
     util::Rng rng(9);
@@ -571,9 +540,7 @@ int main(int argc, char** argv) {
   out.set("steady_plan_hits",
           io::Json(static_cast<std::size_t>(steady_plan_hits)));
   out.set("zero_overhead", io::Json(zero_overhead));
-  out.set("search_bit_identical", io::Json(search_bit_identical));
   out.set("roundtrip_bit_identical", io::Json(roundtrip_bit_identical));
-  out.set("roundtrip_cold_hits", io::Json(roundtrip_cold_hits));
   out.set("roundtrip_specs", io::Json(specs.size()));
   out.set("predictor_bit_identical", io::Json(predictor_bit_identical));
   out.set("plan_hits", io::Json(static_cast<std::size_t>(delta.hits)));

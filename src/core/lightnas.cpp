@@ -10,6 +10,7 @@
 #include "core/search_step.hpp"
 #include "nn/ops.hpp"
 #include "nn/optim.hpp"
+#include "nn/plan.hpp"
 #include "nn/pool.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"

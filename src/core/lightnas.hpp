@@ -9,7 +9,6 @@
 #include "core/supernet.hpp"
 #include "nn/data.hpp"
 #include "nn/parallel.hpp"
-#include "nn/plan.hpp"
 #include "nn/tensor.hpp"
 #include "predictors/predictor.hpp"
 #include "space/architecture.hpp"
@@ -114,20 +113,6 @@ struct LightNasConfig {
   /// never their contents: trajectories are bit-identical on vs off.
   bool pool_tensors = true;
 
-  /// Execution-plan compilation of repeated w-step graphs (nn/plan.hpp):
-  /// after `plan.compile_after` structural hits on one (op_choice, batch
-  /// shape) key, the step's recorded autograd graph is lowered into a
-  /// shape-specialized plan and subsequent hits run it instead of the
-  /// dynamic graph. Planned and dynamic steps are bit-identical, so this
-  /// is purely a throughput knob. Disabled by default to keep the seed
-  /// counter telemetry (pool hit rates) unchanged; enable with
-  /// LIGHTNAS_PLAN=on|N (applied here via from_env) or the CLI's --plan.
-  nn::plan::PlanSettings plan = nn::plan::PlanSettings::from_env([] {
-    nn::plan::PlanSettings base;
-    base.enabled = false;
-    return base;
-  }());
-
   WatchdogConfig watchdog;
 
   /// Throws std::invalid_argument with a descriptive message when any
@@ -195,9 +180,12 @@ struct RunHealth {
   std::uint64_t pool_buffer_hits = 0;
   std::uint64_t pool_buffer_misses = 0;
   std::uint64_t pool_bytes_recycled = 0;
-  /// Execution-plan telemetry (all zero when plans are disabled):
-  /// planned-step executions, dynamic fallbacks, compilations, fused
-  /// kernel records, and static arena bytes across this run's plans.
+  /// Process-wide nn::plan counters accumulated between search() entry
+  /// and exit: plan executions, rejected executions, compilations,
+  /// fused kernel records and arena bytes. The search's own steps run
+  /// no plans, so these stay zero unless other code in the process
+  /// compiles or executes plans during the run. The fields stay so the
+  /// checkpoint format is unchanged.
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
   std::uint64_t plan_compiles = 0;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "nn/ops.hpp"
+#include "util/check.hpp"
 
 namespace lightnas::core {
 
@@ -94,141 +95,35 @@ SharedWTrainer::SharedWTrainer(const SearchTopology& topology,
       weight_params_(supernet_.weight_parameters()),
       w_optimizer_(weight_params_, config.w_lr, config.w_momentum,
                    config.w_weight_decay, /*clip_norm=*/5.0),
-      w_schedule_(config.w_lr, total_w_steps),
-      plans_(config.plan) {
-  plan_inputs_.resize(1);
-  plan_labels_.resize(1);
+      w_schedule_(config.w_lr, total_w_steps) {
   param_index_.reserve(weight_params_.size());
   for (std::uint32_t i = 0; i < weight_params_.size(); ++i) {
     param_index_.emplace(weight_params_[i].get(), i);
   }
 }
 
-void SharedWTrainer::rebuild_plan_active(
-    const nn::plan::ExecutionPlan* plan) {
-  // Runs once per plan switch (never in the planned steady state, so
-  // the vector growth here stays off the zero-alloc hot path).
-  active_plan_ = plan;
-  plan_active_valid_ = true;
-  plan_active_.clear();
-  for (const nn::plan::ProgramSlot& slot : plan->program().slots) {
-    if (slot.kind != nn::plan::SlotKind::kParam) continue;
-    const auto it = param_index_.find(slot.param.get());
-    if (it == param_index_.end()) {
-      // A parameter this trainer does not own (should not happen for
-      // w-step plans) — no manifest, use the dense optimizer sweep.
-      plan_active_valid_ = false;
-      return;
-    }
-    plan_active_.push_back(it->second);
-  }
-  std::sort(plan_active_.begin(), plan_active_.end());
-  plan_active_.erase(
-      std::unique(plan_active_.begin(), plan_active_.end()),
-      plan_active_.end());
-}
-
 double SharedWTrainer::step(const nn::Dataset& batch,
                             const std::vector<std::size_t>& op_choice) {
-  // Zero exactly what the previous step's backward wrote: a planned
-  // step accumulates gradients only into its plan's parameter set, so
-  // the next step needs to clear just those. Dynamic steps have no
-  // such manifest and fall back to the dense sweep.
-  if (wrote_all_) {
-    w_optimizer_.zero_grad();
-  } else {
-    for (const std::uint32_t i : plan_active_) {
-      weight_params_[i]->zero_grad();
-    }
+  const nn::VarPtr logits =
+      supernet_.forward_single_path(batch.features, op_choice);
+  const nn::VarPtr loss = nn::ops::softmax_cross_entropy(logits, batch.labels);
+  // Weight grads are +0 between steps (alpha_step zeroes what it
+  // leaks), so the leaves this backward wrote are the only nonzero
+  // grads: step_on over them is bit-identical to the dense step.
+  const std::vector<nn::Var*>& leaves = nn::backward(loss);
+  active_.clear();
+  for (const nn::Var* leaf : leaves) {
+    const auto it = param_index_.find(leaf);
+    LIGHTNAS_CHECK(it != param_index_.end(),
+                   "SharedWTrainer::step: backward wrote a leaf that is "
+                   "not a supernet weight");
+    active_.push_back(it->second);
   }
-  wrote_all_ = true;
-  if (!plans_.settings().enabled) {
-    return dynamic_step(batch, op_choice, /*record=*/false);
-  }
-
-  // Structural key of this step: the sampled path plus the batch shape.
-  // Digits are appended in place so the steady state reuses the string's
-  // capacity (no allocation on the hot path).
-  plan_key_.clear();
-  const auto append_num = [this](std::size_t v) {
-    char digits[20];
-    std::size_t len = 0;
-    do {
-      digits[len++] = static_cast<char>('0' + v % 10);
-      v /= 10;
-    } while (v != 0);
-    while (len > 0) plan_key_.push_back(digits[--len]);
-  };
-  for (const std::size_t op : op_choice) {
-    append_num(op);
-    plan_key_.push_back(',');
-  }
-  plan_key_.push_back(':');
-  append_num(batch.features.rows());
-  plan_key_.push_back('x');
-  append_num(batch.features.cols());
-
-  if (nn::plan::ExecutionPlan* plan = plans_.lookup(plan_key_)) {
-    plan_inputs_[0] = &batch.features;
-    plan_labels_[0] = &batch.labels;
-    if (plan->execute(plan_inputs_, plan_labels_)) {
-      w_optimizer_.set_lr(w_schedule_.lr_at(step_counter_++));
-      if (plan != active_plan_) rebuild_plan_active(plan);
-      if (plan_active_valid_) {
-        // The plan's parameter table is an exact manifest of which
-        // gradients this step produced — every other parameter's grad
-        // is still zero, so the optimizer can skip reading it.
-        w_optimizer_.step_on(plan_active_);
-        wrote_all_ = false;
-      } else {
-        w_optimizer_.step();
-      }
-      return static_cast<double>(plan->root_data()[0]);
-    }
-  }
-  return dynamic_step(batch, op_choice, plans_.should_record(plan_key_));
-}
-
-double SharedWTrainer::dynamic_step(
-    const nn::Dataset& batch, const std::vector<std::size_t>& op_choice,
-    bool record) {
-  // Any compile below may free an evicted plan and a later compile may
-  // reuse its address — drop the pointer-identity cache so the next
-  // planned step rebuilds its parameter manifest.
-  active_plan_ = nullptr;
-  plan_active_valid_ = false;
-  std::unique_ptr<nn::plan::Program> program;
-  nn::VarPtr loss;
-  if (record) {
-    // Trace this step's forward; the capture happens before backward()
-    // recycles the graph. A poisoned capture marks the key uncompilable.
-    nn::plan::Recording recording;
-    const nn::VarPtr logits =
-        supernet_.forward_single_path(batch.features, op_choice);
-    loss = nn::ops::softmax_cross_entropy(logits, batch.labels);
-    program = recording.capture(loss);
-  } else {
-    const nn::VarPtr logits =
-        supernet_.forward_single_path(batch.features, op_choice);
-    loss = nn::ops::softmax_cross_entropy(logits, batch.labels);
-  }
-  nn::backward(loss);
+  std::sort(active_.begin(), active_.end());
   w_optimizer_.set_lr(w_schedule_.lr_at(step_counter_++));
-  w_optimizer_.step();
-  if (record) {
-    plans_.store(plan_key_,
-                 program != nullptr
-                     ? nn::plan::ExecutionPlan::compile(
-                           *program, nn::plan::CompileOptions{})
-                     : nullptr);
-  }
+  w_optimizer_.step_on(active_);
+  for (const std::uint32_t i : active_) weight_params_[i]->zero_grad();
   return static_cast<double>(loss->value.item());
-}
-
-void SharedWTrainer::clear_weight_grads() {
-  for (const nn::VarPtr& param : weight_params_) {
-    param->zero_grad();
-  }
 }
 
 SharedWTrainer::State SharedWTrainer::export_state() const {
@@ -256,9 +151,6 @@ void SharedWTrainer::restore_state(const State& state) {
   }
   w_optimizer_.restore_state({state.velocity});
   step_counter_ = state.step_counter;
-  // Whatever gradients are in flight belong to the pre-restore
-  // trajectory — make the next step sweep all of them.
-  wrote_all_ = true;
 }
 
 // ------------------------------------------------------ alpha-lambda head

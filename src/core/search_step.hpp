@@ -11,7 +11,6 @@
 #include "nn/autograd.hpp"
 #include "nn/data.hpp"
 #include "nn/optim.hpp"
-#include "nn/plan.hpp"
 #include "nn/tensor.hpp"
 #include "space/architecture.hpp"
 #include "space/search_space.hpp"
@@ -103,16 +102,12 @@ class SharedWTrainer {
                  const LightNasConfig& config, std::size_t total_w_steps);
 
   /// One shared-w update: cross-entropy on the sampled single path,
-  /// backward, cosine-scheduled SGD step.  Returns the training loss.
+  /// backward, cosine-scheduled SGD step over exactly the weights the
+  /// backward wrote. Expects every weight gradient to be +0 on entry
+  /// (construction, step and alpha_step all leave them so) and leaves
+  /// them +0 on return. Returns the training loss.
   double step(const nn::Dataset& batch,
               const std::vector<std::size_t>& op_choice);
-
-  /// Clear gradients accumulated into the supernet weights by an
-  /// alpha-phase backward (bi-level: those gradients are never applied).
-  void clear_weight_grads();
-
-  /// Plan-layer telemetry of this trainer's cache (see nn/plan.hpp).
-  const nn::plan::PlanCache& plans() const { return plans_; }
 
   const SurrogateSupernet& supernet() const { return supernet_; }
   const std::vector<nn::VarPtr>& weight_parameters() const {
@@ -132,30 +127,11 @@ class SharedWTrainer {
   nn::CosineSchedule w_schedule_;
   std::size_t step_counter_ = 0;
 
-  /// Compiled-plan machinery for the w-step hot path: plans are keyed on
-  /// (op_choice, batch shape); the key buffer and binding vectors are
-  /// members so a steady-state planned step allocates nothing.
-  nn::plan::PlanCache plans_;
-  std::string plan_key_;
-  std::vector<const nn::Tensor*> plan_inputs_;
-  std::vector<const std::vector<std::size_t>*> plan_labels_;
-
-  /// Sparse-optimizer bookkeeping. A compiled plan's parameter table is
-  /// an exact manifest of which gradients a planned step produces, so
-  /// the optimizer can run Sgd::step_on over just that set (and the
-  /// next step zeroes just that set). `active_plan_` caches the
-  /// manifest by plan identity; `wrote_all_` falls back to the dense
-  /// sweep after any step without a manifest.
+  /// Sparse-step bookkeeping: backward's leaf list, mapped through
+  /// `param_index_` and sorted, is the exact set of weights a step
+  /// touched. `active_` keeps its capacity across steps.
   std::unordered_map<const nn::Var*, std::uint32_t> param_index_;
-  const nn::plan::ExecutionPlan* active_plan_ = nullptr;
-  std::vector<std::uint32_t> plan_active_;
-  bool plan_active_valid_ = false;
-  bool wrote_all_ = true;
-
-  void rebuild_plan_active(const nn::plan::ExecutionPlan* plan);
-  double dynamic_step(const nn::Dataset& batch,
-                      const std::vector<std::size_t>& op_choice,
-                      bool record);
+  std::vector<std::uint32_t> active_;
 };
 
 /// Per-target architecture head: the alpha matrix, its Adam optimizer,

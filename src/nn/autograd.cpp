@@ -17,6 +17,8 @@ struct GraphArena {
 
   std::vector<Var*> tape;  // parents-before-children order
   std::unordered_set<Var*> visited_scratch;
+  /// The trainable leaves the last backward() wrote, in tape order.
+  std::vector<Var*> leaves;
 
   ~GraphArena() {
     // Free-listed nodes were scrubbed on release (empty tensors, no
@@ -163,18 +165,24 @@ VarPtr make_node(Tensor value, const std::vector<VarPtr>& parents,
   return make_node_impl(std::move(value), parents, std::move(backward_fn));
 }
 
-void backward(const VarPtr& root) {
+const std::vector<Var*>& backward(const VarPtr& root) {
   assert(root);
   assert(root->value.rows() == 1 && root->value.cols() == 1 &&
          "backward() requires a scalar root");
   const std::vector<Var*>& tape = sorted_graph(root.get());
-  for (Var* node : tape) node->ensure_grad();
+  std::vector<Var*>& leaves = arena().leaves;
+  leaves.clear();
+  for (Var* node : tape) {
+    node->ensure_grad();
+    if (node->requires_grad && !node->backward_fn) leaves.push_back(node);
+  }
   root->grad.fill(1.0f);
   // `tape` is parents-before-children; traverse children-first.
   for (auto it = tape.rbegin(); it != tape.rend(); ++it) {
     Var& node = **it;
     if (node.backward_fn) node.backward_fn(node);
   }
+  return leaves;
 }
 
 std::size_t graph_size(const VarPtr& root) {

@@ -159,7 +159,14 @@ VarPtr make_node(Tensor value, const std::vector<VarPtr>& parents,
 /// body serves pooled and unpooled graphs, so their gradients are
 /// bit-identical. Gradients *accumulate* into leaves; call `zero_grad`
 /// on parameters between steps.
-void backward(const VarPtr& root);
+///
+/// Returns the leaves it wrote: every node on its tape that requires a
+/// gradient and has no backward closure, each once, in tape order. A
+/// trainable leaf that is not reachable from `root` is not listed and
+/// its gradient is untouched, so the list is an exact manifest for a
+/// sparse optimizer step. The list lives in thread-local storage and
+/// stays valid until the next backward() on the calling thread.
+const std::vector<Var*>& backward(const VarPtr& root);
 
 /// Number of nodes reachable from `root` (diagnostics / tests).
 std::size_t graph_size(const VarPtr& root);

@@ -52,9 +52,36 @@ double clip_grad_norm(const std::vector<VarPtr>& params, double max_norm) {
   return norm;
 }
 
+namespace {
+
+/// `active` must be strictly increasing and index into `params`: an
+/// out-of-range entry would read past the parameter list, and an
+/// unsorted one makes step_on's merge walk miss a parameter that has a
+/// gradient.
+void check_active(const std::vector<VarPtr>& params,
+                  const std::vector<std::uint32_t>& active,
+                  const char* who) {
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    if (active[k] >= params.size()) {
+      throw std::invalid_argument(
+          std::string(who) + ": active index " + std::to_string(active[k]) +
+          " out of range for " + std::to_string(params.size()) +
+          " parameters");
+    }
+    if (k > 0 && active[k] <= active[k - 1]) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": active indices must be strictly "
+                                  "increasing");
+    }
+  }
+}
+
+}  // namespace
+
 double clip_grad_norm_on(const std::vector<VarPtr>& params,
                          const std::vector<std::uint32_t>& active,
                          double max_norm) {
+  check_active(params, active, "clip_grad_norm_on");
   // Same accumulation order as the dense walk with the zero terms
   // skipped: +0.0 never changes the accumulator, so the norm (and the
   // clip decision) is bit-equal as long as inactive grads really are
@@ -181,6 +208,7 @@ void Sgd::step() {
 }
 
 void Sgd::step_on(const std::vector<std::uint32_t>& active) {
+  check_active(params_, active, "Sgd::step_on");
   if (clip_norm_ > 0.0) clip_grad_norm_on(params_, active, clip_norm_);
   const bool use_wd = weight_decay_ != 0.0;
   const bool use_mom = momentum_ != 0.0;

@@ -34,7 +34,8 @@ double clip_grad_norm(const std::vector<VarPtr>& params, double max_norm);
 /// outside `active` holds an exactly-zero (or never-allocated)
 /// gradient: zero terms contribute +0.0 to the norm accumulator, and
 /// rescaling a zero gradient is a no-op. The caller owns that
-/// precondition (see Sgd::step_on).
+/// precondition (see Sgd::step_on). Throws std::invalid_argument
+/// unless `active` is strictly increasing and below params.size().
 double clip_grad_norm_on(const std::vector<VarPtr>& params,
                          const std::vector<std::uint32_t>& active,
                          double max_norm);
@@ -66,6 +67,8 @@ class Sgd {
   /// zero gradient contributes +0.0 to the norm and +0.0 to the
   /// velocity. Bit-identical to step(); optim.cpp is compiled with
   /// -ffp-contract=off so both element loops round identically.
+  /// Throws std::invalid_argument unless `active` is strictly
+  /// increasing and below the parameter count.
   void step_on(const std::vector<std::uint32_t>& active);
 
   void zero_grad();

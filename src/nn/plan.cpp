@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <unordered_map>
 
 #include "util/check.hpp"
 #include "util/metrics.hpp"
@@ -20,11 +20,9 @@ util::Counter g_compiles;
 util::Counter g_fused;
 util::Counter g_arena_bytes;
 
-/// Hard caps: a recording past this many ops is poisoned (the step is
-/// not a fixed training step; tracing it would only burn memory), and a
-/// cache past this many distinct keys stops admitting new ones.
+/// Hard cap: a recording past this many ops is poisoned (the step is
+/// not a fixed training step; tracing it would only burn memory).
 constexpr std::size_t kMaxRecordOps = std::size_t{1} << 16;
-constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 16;
 
 // --- recorder ----------------------------------------------------------
 
@@ -1054,6 +1052,9 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(
   im.in.assign(im.program.num_inputs, nullptr);
   im.baked_ptrs.reserve(im.baked.size());
   for (const Tensor& t : im.baked) im.baked_ptrs.push_back(t.data().data());
+  g_compiles.add();
+  g_fused.add(plan->fused_ops());
+  g_arena_bytes.add(plan->arena_bytes());
   return plan;
 }
 
@@ -1062,6 +1063,14 @@ bool ExecutionPlan::valid() const {
 }
 
 bool ExecutionPlan::execute(
+    const std::vector<const Tensor*>& inputs,
+    const std::vector<const std::vector<std::size_t>*>& labels) {
+  const bool ran = run(inputs, labels);
+  (ran ? g_hits : g_misses).add();
+  return ran;
+}
+
+bool ExecutionPlan::run(
     const std::vector<const Tensor*>& inputs,
     const std::vector<const std::vector<std::size_t>*>& labels) {
   Impl& im = *impl_;
@@ -1305,33 +1314,7 @@ std::size_t ExecutionPlan::num_label_bindings() const {
 bool ExecutionPlan::has_backward() const { return impl_->opts.backward; }
 const Program& ExecutionPlan::program() const { return impl_->program; }
 
-// --- settings / stats / cache -----------------------------------------
-
-PlanSettings PlanSettings::from_env(PlanSettings base) {
-  const char* env = std::getenv("LIGHTNAS_PLAN");
-  if (env == nullptr) return base;
-  return from_string(env, base);
-}
-
-PlanSettings PlanSettings::from_string(const std::string& v,
-                                       PlanSettings base) {
-  if (v.empty()) return base;
-  if (v == "off" || v == "0" || v == "false") {
-    base.enabled = false;
-    return base;
-  }
-  if (v == "on" || v == "1" || v == "true") {
-    base.enabled = true;
-    return base;
-  }
-  char* end = nullptr;
-  const long n = std::strtol(v.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && n > 0) {
-    base.enabled = true;
-    base.compile_after = static_cast<std::size_t>(n);
-  }
-  return base;
-}
+// --- stats ----------------------------------------------------------
 
 PlanStats PlanStats::operator-(const PlanStats& other) const {
   PlanStats d;
@@ -1351,80 +1334,6 @@ PlanStats global_stats() {
   s.fused_ops = g_fused.value();
   s.arena_bytes = g_arena_bytes.value();
   return s;
-}
-
-PlanCache::PlanCache(PlanSettings settings) : settings_(settings) {}
-
-ExecutionPlan* PlanCache::lookup(const std::string& key) {
-  if (!settings_.enabled) return nullptr;
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    if (entries_.size() >= kMaxCacheEntries) {
-      g_misses.add();
-      return nullptr;
-    }
-    it = entries_.emplace(key, Entry{}).first;
-  }
-  Entry& e = it->second;
-  ++e.count;
-  e.last_use = ++tick_;
-  if (e.plan != nullptr) {
-    if (e.plan->valid()) {
-      g_hits.add();
-      return e.plan.get();
-    }
-    // The ISA tier changed under the plan (an override): drop it, keep
-    // the count so it recompiles promptly.
-    e.plan.reset();
-  }
-  g_misses.add();
-  return nullptr;
-}
-
-bool PlanCache::should_record(const std::string& key) const {
-  if (!settings_.enabled) return false;
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  const Entry& e = it->second;
-  return !e.uncompilable && e.plan == nullptr &&
-         e.count >= settings_.compile_after;
-}
-
-void PlanCache::store(const std::string& key,
-                      std::unique_ptr<ExecutionPlan> plan) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    if (entries_.size() >= kMaxCacheEntries) return;
-    it = entries_.emplace(key, Entry{}).first;
-  }
-  Entry& e = it->second;
-  if (plan == nullptr) {
-    e.uncompilable = true;
-    return;
-  }
-  g_compiles.add();
-  g_fused.add(plan->fused_ops());
-  g_arena_bytes.add(plan->arena_bytes());
-  e.plan = std::move(plan);
-  e.last_use = ++tick_;
-
-  std::size_t with_plan = 0;
-  for (const auto& kv : entries_) {
-    if (kv.second.plan != nullptr) ++with_plan;
-  }
-  while (with_plan > settings_.max_plans) {
-    auto victim = entries_.end();
-    for (auto jt = entries_.begin(); jt != entries_.end(); ++jt) {
-      if (jt->second.plan != nullptr &&
-          (victim == entries_.end() ||
-           jt->second.last_use < victim->second.last_use)) {
-        victim = jt;
-      }
-    }
-    if (victim == entries_.end()) break;
-    victim->second.plan.reset();
-    --with_plan;
-  }
 }
 
 }  // namespace lightnas::nn::plan

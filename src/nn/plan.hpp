@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nn/aligned.hpp"
@@ -101,8 +100,8 @@ void record_leaf(const VarPtr& v);
 /// it, run the forward pass, then call capture(root) to finalize.
 /// Returns null when the step used an unsupported op, created a fresh
 /// trainable leaf, fed a recorded op from an untraced interior node, or
-/// overflowed the op budget — the caller then falls back to the dynamic
-/// path (and a PlanCache remembers the key as uncompilable).
+/// overflowed the op budget — the caller then stays on the dynamic
+/// path.
 class Recording {
  public:
   Recording();
@@ -141,7 +140,8 @@ class ExecutionPlan {
 
   /// Lower `program` for the current active_isa(). Returns null when
   /// the program is unsupported (non-scalar root with backward,
-  /// zero-sized shapes, malformed wiring).
+  /// zero-sized shapes, malformed wiring). A successful compile adds to
+  /// PlanStats' compiles, fused_ops and arena_bytes.
   static std::unique_ptr<ExecutionPlan> compile(const Program& program,
                                                 const CompileOptions& opts);
 
@@ -156,7 +156,8 @@ class ExecutionPlan {
   /// no longer matches the recorded shapes; the caller falls back to
   /// the dynamic path. On success parameter grads have been
   /// accumulated (backward plans) and root_data() exposes the root
-  /// value until the next execute().
+  /// value until the next execute(). Each call counts one PlanStats hit
+  /// (success) or miss (false).
   bool execute(const std::vector<const Tensor*>& inputs,
                const std::vector<const std::vector<std::size_t>*>& labels);
 
@@ -175,82 +176,23 @@ class ExecutionPlan {
 
  private:
   ExecutionPlan();
+  bool run(const std::vector<const Tensor*>& inputs,
+           const std::vector<const std::vector<std::size_t>*>& labels);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Knobs for the plan layer, resolved from config + environment.
-struct PlanSettings {
-  bool enabled = true;
-  /// Compile a key after it has been requested this many times (the
-  /// "Nth structural hit" trigger; 1 = compile on first repeat lookup).
-  std::size_t compile_after = 3;
-  /// Retained compiled plans per cache (LRU beyond this).
-  std::size_t max_plans = 16;
-
-  /// Apply LIGHTNAS_PLAN to `base`: "off"/"0"/"false" disables,
-  /// "on"/"1"/"true" enables with defaults, a positive integer N
-  /// enables with compile_after = N. Unset/empty leaves `base` alone.
-  static PlanSettings from_env(PlanSettings base);
-
-  /// The grammar behind from_env, reusable by other front ends (the
-  /// CLI's --plan flag takes the same values). Empty/unrecognized
-  /// leaves `base` alone.
-  static PlanSettings from_string(const std::string& value,
-                                  PlanSettings base);
-};
-
-/// Process-wide plan telemetry (all caches, all threads).
+/// Process-wide plan telemetry (all plans, all threads).
 struct PlanStats {
-  std::uint64_t hits = 0;       ///< executes served by a compiled plan
-  std::uint64_t misses = 0;     ///< lookups that fell to the dynamic path
+  std::uint64_t hits = 0;       ///< execute() calls that ran the plan
+  std::uint64_t misses = 0;     ///< execute() calls that returned false
   std::uint64_t compiles = 0;   ///< successful compilations
   std::uint64_t fused_ops = 0;  ///< fused kernel records across compiles
-  std::uint64_t arena_bytes = 0;  ///< live arena bytes across plans
+  std::uint64_t arena_bytes = 0;  ///< arena bytes across compiles
 
   PlanStats operator-(const PlanStats& other) const;
 };
 
 PlanStats global_stats();
-
-/// Keyed store of compiled plans with the compile-after-N trigger.
-/// Keys are caller-defined structural fingerprints (op choice + batch
-/// shape for the trainer). Thread-confined, like the engine loops that
-/// own one.
-class PlanCache {
- public:
-  explicit PlanCache(PlanSettings settings = PlanSettings{});
-
-  const PlanSettings& settings() const { return settings_; }
-
-  /// Bump the key's request count. Returns the compiled plan when one
-  /// exists and is valid (counts a hit); otherwise counts a miss. A plan
-  /// invalidated by an ISA change is dropped so the key can recompile.
-  ExecutionPlan* lookup(const std::string& key);
-
-  /// True when the caller should trace this step for compilation: the
-  /// key has been requested >= compile_after times, has no plan yet,
-  /// and has not been marked uncompilable.
-  bool should_record(const std::string& key) const;
-
-  /// Install the compile result for `key`. Null marks the key
-  /// uncompilable (never traced again). Evicts the least recently used
-  /// plan beyond max_plans.
-  void store(const std::string& key, std::unique_ptr<ExecutionPlan> plan);
-
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::uint64_t count = 0;
-    std::uint64_t last_use = 0;
-    bool uncompilable = false;
-    std::unique_ptr<ExecutionPlan> plan;
-  };
-
-  PlanSettings settings_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::uint64_t tick_ = 0;
-};
 
 }  // namespace lightnas::nn::plan

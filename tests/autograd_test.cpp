@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "nn/autograd.hpp"
 #include "nn/gradcheck.hpp"
@@ -133,6 +134,29 @@ TEST(Autograd, ConstantsReceiveNoGradient) {
   backward(mse_loss(pred, target));
   EXPECT_FLOAT_EQ(target->grad.abs_max(), 0.0f);
   EXPECT_GT(w->grad.abs_max(), 0.0f);
+}
+
+TEST(Autograd, BackwardListsExactlyTheLeavesItWrote) {
+  const VarPtr a = random_leaf(2, 2, 11);  // used twice
+  const VarPtr c = random_leaf(2, 2, 12);  // only behind a detach
+  const VarPtr d = random_leaf(2, 2, 13);
+  const VarPtr unused = random_leaf(2, 2, 14);  // not on the root's path
+  unused->ensure_grad();
+  unused->grad.fill(3.0f);
+  const VarPtr k = make_const(Tensor::ones(2, 2));
+
+  // Post-order tape: a, k, mul, scale, detach, d, mul, add, add, sum.
+  const VarPtr root = sum_all(
+      add(mul(a, k), add(scale(a, 2.0), mul(detach(mul(c, c)), d))));
+  const std::vector<Var*>& leaves = backward(root);
+  EXPECT_EQ(leaves, (std::vector<Var*>{a.get(), d.get()}));
+  EXPECT_EQ(unused->grad.data(), Tensor::full(2, 2, 3.0f).data());
+  EXPECT_EQ(c->grad.size(), 0u);  // never reached, never allocated
+
+  // The list belongs to the latest backward on this thread.
+  const std::vector<Var*>& next = backward(sum_all(unused));
+  EXPECT_EQ(next, (std::vector<Var*>{unused.get()}));
+  EXPECT_TRUE(backward(sum_all(relu(k))).empty());
 }
 
 // ---- finite-difference checks for every op -----------------------------

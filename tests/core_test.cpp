@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/gumbel.hpp"
 #include "core/lightnas.hpp"
+#include "core/search_step.hpp"
 #include "core/supernet.hpp"
+#include "nn/data.hpp"
 #include "nn/ops.hpp"
+#include "nn/optim.hpp"
 #include "predictors/mlp_predictor.hpp"
 #include "util/stats.hpp"
 
@@ -270,6 +278,130 @@ TEST_F(SearchTest, FixedLayerNeverChanges) {
   for (const SearchEpochStats& stats : result.trace) {
     EXPECT_EQ(stats.derived.op_at(0), 0u);
   }
+}
+
+/// True when every element of `t` is +0.0f (an empty, never-allocated
+/// gradient counts as zero).
+bool all_positive_zero(const nn::Tensor& t) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const float value = t[i];
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    if (bits != 0) return false;
+  }
+  return true;
+}
+
+bool bits_equal(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+/// The trainer's one w-step path (backward's leaf list driving a sparse
+/// optimizer step) against a hand loop over an identical supernet that
+/// runs the dense Sgd::step and zero_grad, with alpha steps leaking
+/// weight grads in between and a rollback through restore_state.
+TEST(SharedWTrainerTest, SparseStepMatchesDenseReference) {
+  const space::SearchSpace space = space::SearchSpace::fbnet_xavier();
+  const SearchTopology topology(space);
+  nn::SyntheticTaskConfig task_config;
+  task_config.train_size = 256;
+  task_config.valid_size = 64;
+  const nn::SyntheticTask task = nn::make_synthetic_task(task_config);
+
+  predictors::MlpPredictor::State pstate =
+      predictors::MlpPredictor(space.num_layers(), space.num_ops(), 7)
+          .export_state();
+  pstate.trained = true;
+  pstate.target_mean = 20.0;
+  pstate.target_std = 4.0;
+  const predictors::MlpPredictor predictor =
+      predictors::MlpPredictor::from_state(pstate);
+  const std::vector<Constraint> constraints{{&predictor, 22.0}};
+
+  constexpr std::size_t kSteps = 40;
+  LightNasConfig config;
+  config.seed = 4;
+  SharedWTrainer trainer(topology, task, SupernetConfig{}, config, kSteps);
+  // The reference trainer only supplies an identical supernet; its
+  // weights are stepped by the hand loop below.
+  const SharedWTrainer reference(topology, task, SupernetConfig{}, config,
+                                 kSteps);
+  const std::vector<nn::VarPtr>& ref_weights = reference.weight_parameters();
+  nn::Sgd dense(ref_weights, config.w_lr, config.w_momentum,
+                config.w_weight_decay, /*clip_norm=*/5.0);
+  const nn::CosineSchedule schedule(config.w_lr, kSteps);
+  std::size_t ref_counter = 0;
+
+  AlphaLambdaHead head(topology, constraints, config);
+  AlphaLambdaHead ref_head(topology, constraints, config);
+
+  util::Rng batch_rng(11);
+  nn::Batcher batches(task.train, 8, batch_rng);
+  util::Rng path_rng(12);
+  util::Rng alpha_rng(13);
+  util::Rng ref_alpha_rng(13);
+
+  SharedWTrainer::State snapshot;
+  nn::Sgd::State ref_velocity;
+  std::vector<nn::Tensor> ref_snapshot;
+  std::size_t ref_snapshot_counter = 0;
+
+  for (std::size_t s = 0; s < kSteps; ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    const nn::Dataset batch = batches.next();
+    const std::vector<std::size_t> path =
+        space.random_architecture(path_rng).ops();
+
+    const double loss = trainer.step(batch, path);
+    for (const nn::VarPtr& w : trainer.weight_parameters()) {
+      ASSERT_TRUE(all_positive_zero(w->grad));
+    }
+
+    const nn::VarPtr ref_loss = nn::ops::softmax_cross_entropy(
+        reference.supernet().forward_single_path(batch.features, path),
+        batch.labels);
+    nn::backward(ref_loss);
+    dense.set_lr(schedule.lr_at(ref_counter++));
+    dense.step();
+    dense.zero_grad();
+    EXPECT_EQ(loss, static_cast<double>(ref_loss->value.item()));
+
+    if (s % 4 == 3) {
+      const nn::Dataset valid = batches.next();
+      head.alpha_step(trainer.supernet(), trainer.weight_parameters(), valid,
+                      1.0, alpha_rng);
+      ref_head.alpha_step(reference.supernet(), ref_weights, valid, 1.0,
+                          ref_alpha_rng);
+    }
+    if (s == 12) {
+      snapshot = trainer.export_state();
+      ref_snapshot.clear();
+      for (const nn::VarPtr& w : ref_weights) ref_snapshot.push_back(w->value);
+      ref_velocity = dense.export_state();
+      ref_snapshot_counter = ref_counter;
+    }
+    if (s == 25) {
+      trainer.restore_state(snapshot);
+      for (std::size_t i = 0; i < ref_weights.size(); ++i) {
+        ref_weights[i]->value = ref_snapshot[i];
+      }
+      dense.restore_state(ref_velocity);
+      ref_counter = ref_snapshot_counter;
+    }
+  }
+
+  const SharedWTrainer::State got = trainer.export_state();
+  const std::vector<nn::Tensor> want_velocity = dense.export_state().velocity;
+  ASSERT_EQ(got.weights.size(), ref_weights.size());
+  for (std::size_t i = 0; i < ref_weights.size(); ++i) {
+    SCOPED_TRACE("weight " + std::to_string(i));
+    EXPECT_TRUE(bits_equal(got.weights[i], ref_weights[i]->value));
+    EXPECT_TRUE(bits_equal(got.velocity[i], want_velocity[i]));
+  }
+  EXPECT_EQ(got.step_counter, ref_counter);
+  EXPECT_TRUE(bits_equal(head.alpha()->value, ref_head.alpha()->value));
 }
 
 }  // namespace

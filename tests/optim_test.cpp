@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "nn/autograd.hpp"
 #include "nn/optim.hpp"
@@ -157,6 +159,35 @@ TEST(ClipGradNorm, SubsetMatchesDenseWhenOthersAreZero) {
   EXPECT_FLOAT_EQ(a->grad.item(), a2->grad.item());
   EXPECT_FLOAT_EQ(b->grad.item(), b2->grad.item());
   EXPECT_FLOAT_EQ(zero2->grad.item(), 0.0f);
+}
+
+TEST(ClipGradNorm, SubsetRejectsOutOfRangeAndUnsortedActive) {
+  VarPtr a = leaf_with_grad(0.0f, 3.0f);
+  VarPtr b = leaf_with_grad(0.0f, 4.0f);
+  EXPECT_THROW(clip_grad_norm_on({a, b}, {5}, 1.0), std::invalid_argument);
+  EXPECT_THROW(clip_grad_norm_on({a, b}, {1, 0}, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(clip_grad_norm_on({a, b}, {1, 1}, 1.0),
+               std::invalid_argument);
+  // Nothing was clipped by the rejected calls.
+  EXPECT_FLOAT_EQ(a->grad.item(), 3.0f);
+  EXPECT_FLOAT_EQ(b->grad.item(), 4.0f);
+  EXPECT_EQ(clip_grad_norm_on({a, b}, {}, 1.0), 0.0);
+}
+
+TEST(Sgd, SparseStepRejectsOutOfRangeAndUnsortedActive) {
+  std::vector<VarPtr> params;
+  for (int i = 0; i < 4; ++i) params.push_back(leaf_with_grad(1.0f, 0.5f));
+  Sgd opt(params, 0.1, 0.9, 1e-2, 5.0);
+  EXPECT_THROW(opt.step_on({4}), std::invalid_argument);
+  // {3, 1} would walk past index 1 and apply the no-grad update to a
+  // parameter that has a gradient.
+  EXPECT_THROW(opt.step_on({3, 1}), std::invalid_argument);
+  EXPECT_THROW(opt.step_on({1, 1}), std::invalid_argument);
+  for (const VarPtr& p : params) {
+    EXPECT_FLOAT_EQ(p->value.item(), 1.0f);  // no update was applied
+  }
+  EXPECT_NO_THROW(opt.step_on({0, 1, 2, 3}));
 }
 
 TEST(Adam, FirstStepMagnitudeIsLr) {

@@ -1,24 +1,22 @@
 // Tests of the plan compiler (nn/plan.hpp): recording the supported op
 // vocabulary, poisoning on anything else, bit-identity of compiled
-// execution against the dynamic autograd path across ISA tiers and on
-// job-level lanes, cache trigger/invalidation semantics, the serialized
-// plan artifact round-trip, and full-search trajectory equivalence
-// (including kill/resume) with plans enabled.
+// execution against the dynamic autograd path across ISA tiers, on
+// job-level lanes and on real supernet w-step shapes, the plan
+// telemetry counters, and the serialized plan artifact round-trip.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/lightnas.hpp"
 #include "core/search_step.hpp"
-#include "hw/cost_model.hpp"
 #include "io/serialize.hpp"
 #include "nn/data.hpp"
 #include "nn/ops.hpp"
@@ -268,6 +266,7 @@ TEST(PlanExecute, RejectsMismatchedBindingsWithoutSideEffects) {
       *c.program, nn::plan::CompileOptions{});
   ASSERT_NE(plan, nullptr);
 
+  const nn::plan::PlanStats before = nn::plan::global_stats();
   // Wrong input shape.
   const nn::Tensor wrong_shape = random_tensor(kBatch, kIn + 1, 42);
   EXPECT_FALSE(plan->execute({&wrong_shape}, {&labels}));
@@ -284,6 +283,11 @@ TEST(PlanExecute, RejectsMismatchedBindingsWithoutSideEffects) {
   // execute afterwards still matches the dynamic reference exactly.
   ASSERT_TRUE(plan->execute({&features}, {&labels}));
   expect_matches_dynamic(expect, plan->root_data()[0], c.model);
+
+  // Each rejected execute counts a miss, the clean one a hit.
+  const nn::plan::PlanStats delta = nn::plan::global_stats() - before;
+  EXPECT_EQ(delta.misses, 5u);
+  EXPECT_EQ(delta.hits, 1u);
 }
 
 TEST(PlanExecute, StaleIsaPlanIsDetected) {
@@ -329,115 +333,6 @@ TEST(PlanRecording, RootMustBeARecordedOp) {
   nn::plan::Recording recording;
   const nn::VarPtr x = nn::make_const(random_tensor(2, 3, 1));
   EXPECT_EQ(recording.capture(x), nullptr);
-}
-
-TEST(PlanCacheTest, CompileAfterTriggerAndHitCounting) {
-  nn::plan::PlanSettings settings;
-  settings.enabled = true;
-  settings.compile_after = 2;
-  nn::plan::PlanCache cache(settings);
-  const std::string key = "0,1,2:5x7";
-
-  const nn::plan::PlanStats before = nn::plan::global_stats();
-  EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_FALSE(cache.should_record(key));  // 1 request < compile_after
-  EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_TRUE(cache.should_record(key));  // 2 requests, no plan yet
-
-  const nn::Tensor features = random_tensor(kBatch, kIn, 42);
-  const std::vector<std::size_t> labels = make_labels();
-  Captured c = record_program(1, features, labels);
-  ASSERT_NE(c.program, nullptr);
-  cache.store(key, nn::plan::ExecutionPlan::compile(
-                       *c.program, nn::plan::CompileOptions{}));
-  EXPECT_FALSE(cache.should_record(key));  // plan installed
-
-  nn::plan::ExecutionPlan* plan = cache.lookup(key);
-  ASSERT_NE(plan, nullptr);
-  ASSERT_TRUE(plan->execute({&features}, {&labels}));
-
-  const nn::plan::PlanStats delta = nn::plan::global_stats() - before;
-  EXPECT_EQ(delta.misses, 2u);
-  EXPECT_EQ(delta.hits, 1u);
-  EXPECT_EQ(delta.compiles, 1u);
-  EXPECT_EQ(delta.fused_ops, 3u);
-  EXPECT_GT(delta.arena_bytes, 0u);
-}
-
-TEST(PlanCacheTest, DisabledCacheNeverRecords) {
-  nn::plan::PlanSettings settings;
-  settings.enabled = false;
-  nn::plan::PlanCache cache(settings);
-  const nn::plan::PlanStats before = nn::plan::global_stats();
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(cache.lookup("k"), nullptr);
-  EXPECT_FALSE(cache.should_record("k"));
-  const nn::plan::PlanStats delta = nn::plan::global_stats() - before;
-  EXPECT_EQ(delta.misses, 0u);
-  EXPECT_EQ(delta.hits, 0u);
-}
-
-TEST(PlanCacheTest, IsaChangeDropsStalePlanAndRetriggers) {
-  if (!avx2_usable()) GTEST_SKIP() << "no AVX2 tier on this host/build";
-  nn::plan::PlanSettings settings;
-  settings.enabled = true;
-  settings.compile_after = 1;
-  nn::plan::PlanCache cache(settings);
-  const std::string key = "k";
-
-  const nn::Tensor features = random_tensor(kBatch, kIn, 42);
-  const std::vector<std::size_t> labels = make_labels();
-  Captured c = record_program(1, features, labels);
-  ASSERT_NE(c.program, nullptr);
-
-  {
-    const ScopedIsa scalar(IsaLevel::kScalar);
-    EXPECT_EQ(cache.lookup(key), nullptr);
-    cache.store(key, nn::plan::ExecutionPlan::compile(
-                         *c.program, nn::plan::CompileOptions{}));
-    EXPECT_NE(cache.lookup(key), nullptr);
-  }
-  // Under a different ISA tier the stored plan is stale: the lookup
-  // must miss, drop it, and re-arm recording for this key.
-  const ScopedIsa vec(IsaLevel::kAvx2);
-  EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_TRUE(cache.should_record(key));
-}
-
-TEST(PlanCacheTest, NullStoreMarksKeyUncompilable) {
-  nn::plan::PlanSettings settings;
-  settings.enabled = true;
-  settings.compile_after = 1;
-  nn::plan::PlanCache cache(settings);
-  EXPECT_EQ(cache.lookup("bad"), nullptr);
-  EXPECT_TRUE(cache.should_record("bad"));
-  cache.store("bad", nullptr);
-  EXPECT_FALSE(cache.should_record("bad"));
-  EXPECT_EQ(cache.lookup("bad"), nullptr);
-  EXPECT_FALSE(cache.should_record("bad"));
-}
-
-TEST(PlanSettingsTest, FromEnvParsesOverrides) {
-  nn::plan::PlanSettings base;
-  base.enabled = false;
-  base.compile_after = 3;
-
-  ::setenv("LIGHTNAS_PLAN", "on", 1);
-  nn::plan::PlanSettings s = nn::plan::PlanSettings::from_env(base);
-  EXPECT_TRUE(s.enabled);
-
-  ::setenv("LIGHTNAS_PLAN", "off", 1);
-  s = nn::plan::PlanSettings::from_env(base);
-  EXPECT_FALSE(s.enabled);
-
-  ::setenv("LIGHTNAS_PLAN", "5", 1);
-  s = nn::plan::PlanSettings::from_env(base);
-  EXPECT_TRUE(s.enabled);
-  EXPECT_EQ(s.compile_after, 5u);
-
-  ::unsetenv("LIGHTNAS_PLAN");
-  s = nn::plan::PlanSettings::from_env(base);
-  EXPECT_FALSE(s.enabled);
-  EXPECT_EQ(s.compile_after, 3u);
 }
 
 TEST(PlanRoundTrip, SerializeLoadBindExecute) {
@@ -528,9 +423,11 @@ TEST(PredictorPlan, ForwardOnlyPlanMatchesForwardVar) {
       float_bits_equal(dynamic->value.item(), plan->root_data()[0]));
 }
 
-/// Trainer-level equivalence: a planned SharedWTrainer must walk the
-/// exact weight trajectory of a dynamic one, including across the
-/// dynamic->planned transition at the compile trigger.
+/// Plan-vs-dynamic on real supernet shapes: record one w-step of a
+/// SharedWTrainer's supernet, compile it, and compare the executed loss
+/// and every weight gradient bitwise against the dynamic backward of
+/// the same step. The plan's parameter table must also name exactly the
+/// weights the dynamic backward reports writing.
 TEST(TrainerPlan, PlannedStepsMatchDynamicTrajectory) {
   const space::SearchSpace space = space::SearchSpace::fbnet_xavier();
   const core::SearchTopology topology(space);
@@ -538,22 +435,10 @@ TEST(TrainerPlan, PlannedStepsMatchDynamicTrajectory) {
   task_config.train_size = 64;
   task_config.valid_size = 32;
   const nn::SyntheticTask task = nn::make_synthetic_task(task_config);
+  const core::SharedWTrainer trainer(topology, task, core::SupernetConfig{},
+                                     core::LightNasConfig{}, 8);
+  const std::vector<nn::VarPtr>& weights = trainer.weight_parameters();
 
-  constexpr std::size_t kSteps = 8;
-  core::LightNasConfig dynamic_config;
-  dynamic_config.plan = nn::plan::PlanSettings{};
-  dynamic_config.plan.enabled = false;
-  core::LightNasConfig planned_config = dynamic_config;
-  planned_config.plan.enabled = true;
-  planned_config.plan.compile_after = 2;
-
-  core::SharedWTrainer dynamic_trainer(topology, task, core::SupernetConfig{},
-                                       dynamic_config, kSteps);
-  core::SharedWTrainer planned_trainer(topology, task, core::SupernetConfig{},
-                                       planned_config, kSteps);
-
-  // Fixed batch + two alternating paths: both keys recur enough to
-  // cross the compile threshold and then serve hits.
   nn::Dataset batch;
   batch.features = nn::Tensor::uninitialized(8, task.train.feature_dim());
   for (std::size_t r = 0; r < 8; ++r) {
@@ -562,168 +447,69 @@ TEST(TrainerPlan, PlannedStepsMatchDynamicTrajectory) {
     }
     batch.labels.push_back(task.train.labels[r]);
   }
-  const std::vector<std::size_t> path_a = space.uniform_architecture(0).ops();
-  const std::vector<std::size_t> path_b =
-      space.uniform_architecture(space.ops().skip_index()).ops();
 
-  const nn::plan::PlanStats before = nn::plan::global_stats();
-  nn::PooledScope pooled(nn::PoolMode::kFresh);
-  for (std::size_t s = 0; s < kSteps; ++s) {
-    const std::vector<std::size_t>& path = (s % 2 == 0) ? path_a : path_b;
-    const double dynamic_loss = dynamic_trainer.step(batch, path);
-    const double planned_loss = planned_trainer.step(batch, path);
-    SCOPED_TRACE("step " + std::to_string(s));
-    EXPECT_EQ(dynamic_loss, planned_loss);
-  }
-  const nn::plan::PlanStats delta = nn::plan::global_stats() - before;
-  EXPECT_EQ(delta.compiles, 2u);  // one plan per path
-  EXPECT_GE(delta.hits, 4u);      // steps 5..8 all served by plans
+  const nn::PooledScope pooled(nn::PoolMode::kFresh);
+  util::Rng rng(5);
+  for (int rep = 0; rep < 3; ++rep) {
+    SCOPED_TRACE("path " + std::to_string(rep));
+    const std::vector<std::size_t> path =
+        space.random_architecture(rng).ops();
+    for (const nn::VarPtr& w : weights) w->zero_grad();
 
-  const core::SharedWTrainer::State a = dynamic_trainer.export_state();
-  const core::SharedWTrainer::State b = planned_trainer.export_state();
-  ASSERT_EQ(a.weights.size(), b.weights.size());
-  for (std::size_t i = 0; i < a.weights.size(); ++i) {
-    SCOPED_TRACE("weight " + std::to_string(i));
-    EXPECT_TRUE(bits_equal(a.weights[i], b.weights[i]));
-    EXPECT_TRUE(bits_equal(a.velocity[i], b.velocity[i]));
-  }
-  EXPECT_EQ(a.step_counter, b.step_counter);
-}
+    // Dynamic reference: loss, the leaves backward wrote, every grad.
+    float dynamic_loss = 0.0f;
+    std::vector<const nn::Var*> written;
+    {
+      const nn::VarPtr loss = nn::ops::softmax_cross_entropy(
+          trainer.supernet().forward_single_path(batch.features, path),
+          batch.labels);
+      const std::vector<nn::Var*>& leaves = nn::backward(loss);
+      written.assign(leaves.begin(), leaves.end());
+      dynamic_loss = loss->value.item();
+    }
+    std::vector<nn::Tensor> dynamic_grads;
+    for (const nn::VarPtr& w : weights) {
+      dynamic_grads.push_back(w->grad);
+      w->zero_grad();
+    }
 
-/// Noise-free linear predictor (same construction as the checkpoint
-/// tests): the engine under test must be deterministic.
-class LinearOracle : public predictors::HardwarePredictor {
- public:
-  LinearOracle(const space::SearchSpace& space, const hw::CostModel& model)
-      : space_(&space) {
-    weights_.resize(space.num_layers() * space.num_ops());
-    const space::Architecture base =
-        space.uniform_architecture(space.ops().skip_index());
-    base_ = model.network_latency_ms(space, base);
-    for (std::size_t l = 0; l < space.num_layers(); ++l) {
-      for (std::size_t k = 0; k < space.num_ops(); ++k) {
-        space::Architecture probe = base;
-        if (space.layers()[l].searchable) probe.set_op(l, k);
-        weights_[l * space.num_ops() + k] =
-            model.network_latency_ms(space, probe) - base_;
+    std::unique_ptr<nn::plan::Program> program;
+    {
+      nn::plan::Recording recording;
+      const nn::VarPtr loss = nn::ops::softmax_cross_entropy(
+          trainer.supernet().forward_single_path(batch.features, path),
+          batch.labels);
+      program = recording.capture(loss);
+    }
+    ASSERT_NE(program, nullptr);
+    std::vector<const nn::Var*> manifest;
+    for (const nn::plan::ProgramSlot& slot : program->slots) {
+      if (slot.kind == nn::plan::SlotKind::kParam) {
+        manifest.push_back(slot.param.get());
       }
     }
-  }
-  double predict(const space::Architecture& arch) const override {
-    const auto enc = arch.encode_one_hot(space_->num_ops());
-    double total = base_;
-    for (std::size_t i = 0; i < enc.size(); ++i) total += enc[i] * weights_[i];
-    return total;
-  }
-  nn::VarPtr forward_var(const nn::VarPtr& encoding) const override {
-    nn::Tensor w(weights_.size(), 1);
-    for (std::size_t i = 0; i < weights_.size(); ++i) {
-      w[i] = static_cast<float>(weights_[i]);
-    }
-    return nn::ops::add_scalar(
-        nn::ops::matmul(encoding, nn::make_const(std::move(w))), base_);
-  }
-  std::string unit() const override { return "ms"; }
+    std::sort(manifest.begin(), manifest.end());
+    std::sort(written.begin(), written.end());
+    EXPECT_EQ(manifest, written);
 
- private:
-  const space::SearchSpace* space_;
-  std::vector<double> weights_;
-  double base_ = 0.0;
-};
+    const nn::plan::PlanStats before = nn::plan::global_stats();
+    const std::unique_ptr<nn::plan::ExecutionPlan> plan =
+        nn::plan::ExecutionPlan::compile(*program,
+                                         nn::plan::CompileOptions{});
+    ASSERT_NE(plan, nullptr);
+    ASSERT_TRUE(plan->execute({&batch.features}, {&batch.labels}));
+    const nn::plan::PlanStats delta = nn::plan::global_stats() - before;
+    EXPECT_EQ(delta.compiles, 1u);
+    EXPECT_EQ(delta.hits, 1u);
+    EXPECT_EQ(delta.fused_ops, plan->fused_ops());
+    EXPECT_EQ(delta.arena_bytes, plan->arena_bytes());
 
-class EnginePlanTest : public ::testing::Test {
- protected:
-  EnginePlanTest()
-      : space_(space::SearchSpace::fbnet_xavier()),
-        model_(hw::DeviceProfile::jetson_xavier_maxn(), 8),
-        task_(nn::make_synthetic_task(tiny_task())),
-        predictor_(space_, model_) {}
-
-  static core::LightNasConfig tiny_config(bool plan_enabled) {
-    core::LightNasConfig config;
-    config.target = 22.0;
-    config.epochs = 6;
-    config.warmup_epochs = 2;
-    config.w_steps_per_epoch = 4;
-    config.alpha_steps_per_epoch = 4;
-    config.batch_size = 32;
-    config.seed = 2;
-    config.plan = nn::plan::PlanSettings{};
-    config.plan.enabled = plan_enabled;
-    config.plan.compile_after = 1;
-    config.plan.max_plans = 64;
-    return config;
-  }
-  static nn::SyntheticTaskConfig tiny_task() {
-    nn::SyntheticTaskConfig config;
-    config.train_size = 512;
-    config.valid_size = 256;
-    return config;
-  }
-
-  core::LightNas make_engine(const core::LightNasConfig& config) {
-    return core::LightNas(space_, predictor_, task_,
-                          core::SupernetConfig{}, config);
-  }
-
-  static void expect_identical(const core::SearchResult& a,
-                               const core::SearchResult& b) {
-    ASSERT_EQ(a.trace.size(), b.trace.size());
-    EXPECT_EQ(a.architecture.ops(), b.architecture.ops());
-    EXPECT_EQ(a.final_predicted_cost, b.final_predicted_cost);
-    EXPECT_EQ(a.final_lambda, b.final_lambda);
-    EXPECT_EQ(a.weight_updates, b.weight_updates);
-    EXPECT_EQ(a.alpha_updates, b.alpha_updates);
-    for (std::size_t e = 0; e < a.trace.size(); ++e) {
-      SCOPED_TRACE("epoch " + std::to_string(e));
-      EXPECT_EQ(a.trace[e].derived.ops(), b.trace[e].derived.ops());
-      EXPECT_EQ(a.trace[e].lambda, b.trace[e].lambda);
-      EXPECT_EQ(a.trace[e].predicted_cost, b.trace[e].predicted_cost);
-      EXPECT_EQ(a.trace[e].sampled_cost_mean, b.trace[e].sampled_cost_mean);
-      EXPECT_EQ(a.trace[e].valid_loss, b.trace[e].valid_loss);
-      EXPECT_EQ(a.trace[e].valid_accuracy, b.trace[e].valid_accuracy);
+    EXPECT_TRUE(float_bits_equal(dynamic_loss, plan->root_data()[0]));
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      SCOPED_TRACE("weight " + std::to_string(i));
+      EXPECT_TRUE(bits_equal(dynamic_grads[i], weights[i]->grad));
     }
   }
-
-  space::SearchSpace space_;
-  hw::CostModel model_;
-  nn::SyntheticTask task_;
-  LinearOracle predictor_;
-};
-
-TEST_F(EnginePlanTest, PlannedSearchMatchesDynamicSearch) {
-  const core::SearchResult dynamic =
-      make_engine(tiny_config(false)).search();
-  const core::SearchResult planned =
-      make_engine(tiny_config(true)).search();
-  expect_identical(dynamic, planned);
-  // The plan layer must actually have engaged (every w-step does a
-  // cache lookup) and its telemetry must surface in RunHealth.
-  EXPECT_GT(planned.health.plan_misses + planned.health.plan_hits, 0u);
-  EXPECT_EQ(dynamic.health.plan_misses, 0u);
-  EXPECT_EQ(dynamic.health.plan_hits, 0u);
-}
-
-TEST_F(EnginePlanTest, PlannedResumeReproducesUninterruptedRun) {
-  const core::SearchResult full = make_engine(tiny_config(true)).search();
-
-  constexpr std::size_t kKillAt = 3;
-  std::optional<core::SearchCheckpoint> saved;
-  core::SearchHooks hooks;
-  hooks.on_checkpoint = [&](const core::SearchCheckpoint& ck) { saved = ck; };
-  hooks.should_stop = [](std::size_t done) { return done >= kKillAt; };
-  const core::SearchResult partial =
-      make_engine(tiny_config(true)).search(hooks);
-  EXPECT_TRUE(partial.health.interrupted);
-  ASSERT_TRUE(saved.has_value());
-  ASSERT_EQ(saved->next_epoch, kKillAt);
-
-  core::SearchHooks resume;
-  resume.resume = &*saved;
-  const core::SearchResult resumed =
-      make_engine(tiny_config(true)).search(resume);
-  EXPECT_TRUE(resumed.health.resumed);
-  expect_identical(full, resumed);
 }
 
 }  // namespace

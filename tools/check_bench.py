@@ -61,9 +61,7 @@ SCHEMAS = {
         "gates": {
             "throughput_pass": True,
             "zero_overhead": True,
-            "search_bit_identical": True,
             "roundtrip_bit_identical": True,
-            "roundtrip_cold_hits": True,
             "predictor_bit_identical": True,
         },
     },

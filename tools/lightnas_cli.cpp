@@ -18,7 +18,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/serialize.hpp"
@@ -39,24 +41,6 @@
 using namespace lightnas;
 
 namespace {
-
-/// Apply --plan off|on|N to `plan` — the LIGHTNAS_PLAN grammar, except
-/// that an explicit flag with a typo'd value is an error (the env
-/// silently ignores unrecognized values; a typed flag must not).
-void apply_plan_flag(const cli::Args& args, nn::plan::PlanSettings& plan) {
-  if (!args.has("plan")) return;
-  const std::string value = args.get("plan");
-  const bool keyword = value == "off" || value == "0" || value == "false" ||
-                       value == "on" || value == "1" || value == "true";
-  const bool integer =
-      !value.empty() && value.find_first_not_of("0123456789") ==
-                            std::string::npos && value != "0";
-  if (!keyword && !integer) {
-    throw std::runtime_error("flag --plan: '" + value +
-                             "' is not off|on|N");
-  }
-  plan = nn::plan::PlanSettings::from_string(value, plan);
-}
 
 /// Install the process-wide SIMD tier from --isa (default: best
 /// bit-identity-preserving tier the host supports, overridable with
@@ -86,11 +70,11 @@ hw::DeviceProfile device_by_name(const std::string& name) {
                            "' (try: lightnas devices)");
 }
 
-int cmd_devices() {
+int cmd_devices(const cli::Args&) {
   util::Table table({"name", "peak GMAC/s", "bw GB/s", "MBV2-like (ms)",
                      "MBV2-like (mJ)"});
   const space::SearchSpace space = space::SearchSpace::fbnet_xavier();
-  for (const std::string& name :
+  for (const char* name :
        {"xavier", "xavier-30w", "xavier-15w", "nano", "accel"}) {
     const hw::DeviceProfile profile = device_by_name(name);
     const hw::CostModel model(profile, 8);
@@ -210,10 +194,6 @@ int cmd_search(const cli::Args& args) {
   // Buffer/graph recycling (results are bit-identical on or off; off
   // exists for A/B allocation debugging).
   config.pool_tensors = args.get("tensor-pool", "1") != "0";
-  // Plan compiler (--plan off|on|N, same grammar as LIGHTNAS_PLAN; the
-  // flag wins over the environment). Bit-identical either way — this is
-  // a throughput knob, not a numerics knob.
-  apply_plan_flag(args, config.plan);
 
   core::SearchHooks hooks;
   core::SearchCheckpoint resume_state;
@@ -306,7 +286,6 @@ int cmd_search_campaign(const cli::Args& args) {
                                       config.search.epochs / 2));
   config.search.log_progress = args.get("verbose", "0") != "0";
   config.search.pool_tensors = args.get("tensor-pool", "1") != "0";
-  apply_plan_flag(args, config.search.plan);
   // Lanes for the per-job phases; results are bit-identical for any N.
   const nn::ParallelContext lanes(
       nn::ParallelConfig{args.get_size("threads", 1)});
@@ -628,19 +607,18 @@ void print_usage() {
   std::printf(
       "usage: lightnas <command> [--flag value ...]\n"
       "\n"
-      "global flags (every command):\n"
+      "global flag (every command):\n"
       "  --isa T         SIMD tier of the dense kernels: scalar | avx2 |\n"
       "                  avx2fma (default: best bit-identical tier the\n"
       "                  CPU supports; env LIGHTNAS_ISA overrides too).\n"
       "                  scalar and avx2 are bit-identical; avx2fma is\n"
       "                  faster but changes rounding (opt-in)\n"
+      "\n"
+      "train-predictor, search, search-campaign and serve-bench also take:\n"
       "  --tensor-pool 0|1  recycle tensor buffers / autograd graphs\n"
       "                  (default 1; results are bit-identical)\n"
-      "  --plan off|on|N  compile recycled autograd graphs into shape-\n"
-      "                  specialized execution plans (search/campaign;\n"
-      "                  N = compile after N structural hits, default 3;\n"
-      "                  default off; env LIGHTNAS_PLAN sets the same,\n"
-      "                  the flag wins; results are bit-identical)\n"
+      "\n"
+      "A flag the command does not read is an error (unknown flag).\n"
       "\n"
       "commands:\n"
       "  devices                                list device profiles\n"
@@ -682,6 +660,62 @@ void print_usage() {
       "                  [--storm-outliers P]\n");
 }
 
+/// One subcommand: its name, the flags it reads (besides the global
+/// --isa) and its body.
+struct Command {
+  const char* name;
+  std::vector<std::string> flags;
+  int (*run)(const cli::Args&);
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"devices", {}, cmd_devices},
+      {"measure",
+       {"device", "batch", "seed", "metric", "samples", "fault-outliers",
+        "fault-transients", "fault-hangs", "fault-drift", "robust", "out"},
+       cmd_measure},
+      {"train-predictor",
+       {"dataset", "seed", "unit", "epochs", "batch", "log-every",
+        "tensor-pool", "out"},
+       cmd_train_predictor},
+      {"eval-predictor", {"predictor", "dataset"}, cmd_eval_predictor},
+      {"search",
+       {"predictor", "target", "predictor2", "target2", "task-size", "seed",
+        "epochs", "warmup", "verbose", "tensor-pool", "resume",
+        "checkpoint-dir", "checkpoint-every", "out"},
+       cmd_search},
+      {"search-campaign",
+       {"predictor", "targets", "tolerance", "patience", "preempt", "seed",
+        "epochs", "warmup", "verbose", "tensor-pool", "threads", "task-size",
+        "resume", "checkpoint-dir", "checkpoint-every", "out", "csv"},
+       cmd_search_campaign},
+      {"show", {"result", "arch", "device", "batch"}, cmd_show},
+      {"predict", {"predictor", "arch"}, cmd_predict},
+      {"serve-bench",
+       {"predictor", "device", "seed", "samples", "epochs", "pool", "zipf",
+        "clients", "requests", "workers", "batch", "queue", "cache",
+        "tensor-pool", "deadline-ms", "overflow", "cache-ttl-ms", "breaker",
+        "stall-ms", "fallback", "storm-transients", "storm-hangs",
+        "storm-drift", "storm-outliers", "storm-hang-ms", "baseline"},
+       cmd_serve_bench},
+  };
+  return table;
+}
+
+/// A flag the command never reads is a typo or a removed option; fail
+/// before any work instead of silently running with defaults.
+void reject_unknown_flags(const Command& command, const cli::Args& args) {
+  for (const std::string& name : args.flag_names()) {
+    if (name != "isa" &&
+        std::find(command.flags.begin(), command.flags.end(), name) ==
+            command.flags.end()) {
+      throw std::runtime_error("unknown flag --" + name + " for '" +
+                               command.name + "'");
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -691,20 +725,16 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::string command = argv[1];
-    const cli::Args args(argc - 1, argv + 1);
-    install_isa(args);
-    if (command == "devices") return cmd_devices();
-    if (command == "measure") return cmd_measure(args);
-    if (command == "train-predictor") return cmd_train_predictor(args);
-    if (command == "eval-predictor") return cmd_eval_predictor(args);
-    if (command == "search") return cmd_search(args);
-    if (command == "search-campaign") return cmd_search_campaign(args);
-    if (command == "show") return cmd_show(args);
-    if (command == "predict") return cmd_predict(args);
-    if (command == "serve-bench") return cmd_serve_bench(args);
     if (command == "help" || command == "--help") {
       print_usage();
       return 0;
+    }
+    const cli::Args args(argc - 1, argv + 1);
+    for (const Command& entry : commands()) {
+      if (command != entry.name) continue;
+      reject_unknown_flags(entry, args);
+      install_isa(args);
+      return entry.run(args);
     }
     std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
     print_usage();
