@@ -10,7 +10,6 @@
 #include "core/search_step.hpp"
 #include "nn/ops.hpp"
 #include "nn/optim.hpp"
-#include "nn/plan.hpp"
 #include "nn/pool.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -93,11 +92,6 @@ std::string RunHealth::summary() const {
         << " recycled_mb="
         << static_cast<double>(pool_bytes_recycled) / (1 << 20) << "}";
   }
-  if (plan_hits + plan_misses + plan_compiles > 0) {
-    out << " plan{hits=" << plan_hits << " misses=" << plan_misses
-        << " compiles=" << plan_compiles << " fused_ops=" << plan_fused_ops
-        << " arena_bytes=" << plan_arena_bytes << "}";
-  }
   for (const WatchdogEvent& event : events) {
     out << " [epoch " << event.epoch << ": " << event.reason
         << (event.rolled_back ? " -> rollback" : " -> abort") << "]";
@@ -154,7 +148,6 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
   const nn::PoolStats pool_start = config_.pool_tensors
                                        ? pool_scope.pool().stats()
                                        : nn::PoolStats{};
-  const nn::plan::PlanStats plan_start = nn::plan::global_stats();
 
   const std::size_t num_constraints = constraints_.size();
 
@@ -480,14 +473,6 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
     result.health.pool_buffer_hits = used.buffer_hits;
     result.health.pool_buffer_misses = used.buffer_misses;
     result.health.pool_bytes_recycled = used.bytes_recycled;
-  }
-  {
-    const nn::plan::PlanStats used = nn::plan::global_stats() - plan_start;
-    result.health.plan_hits = used.hits;
-    result.health.plan_misses = used.misses;
-    result.health.plan_compiles = used.compiles;
-    result.health.plan_fused_ops = used.fused_ops;
-    result.health.plan_arena_bytes = used.arena_bytes;
   }
   return result;
 }

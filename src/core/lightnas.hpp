@@ -180,17 +180,6 @@ struct RunHealth {
   std::uint64_t pool_buffer_hits = 0;
   std::uint64_t pool_buffer_misses = 0;
   std::uint64_t pool_bytes_recycled = 0;
-  /// Process-wide nn::plan counters accumulated between search() entry
-  /// and exit: plan executions, rejected executions, compilations,
-  /// fused kernel records and arena bytes. The search's own steps run
-  /// no plans, so these stay zero unless other code in the process
-  /// compiles or executes plans during the run. The fields stay so the
-  /// checkpoint format is unchanged.
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_misses = 0;
-  std::uint64_t plan_compiles = 0;
-  std::uint64_t plan_fused_ops = 0;
-  std::uint64_t plan_arena_bytes = 0;
 
   std::string summary() const;
 };

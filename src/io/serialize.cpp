@@ -127,11 +127,6 @@ Json health_to_json(const core::RunHealth& health) {
   json.set("pool_buffer_hits", Json(health.pool_buffer_hits));
   json.set("pool_buffer_misses", Json(health.pool_buffer_misses));
   json.set("pool_bytes_recycled", Json(health.pool_bytes_recycled));
-  json.set("plan_hits", Json(health.plan_hits));
-  json.set("plan_misses", Json(health.plan_misses));
-  json.set("plan_compiles", Json(health.plan_compiles));
-  json.set("plan_fused_ops", Json(health.plan_fused_ops));
-  json.set("plan_arena_bytes", Json(health.plan_arena_bytes));
   Json events = Json::array();
   for (const core::WatchdogEvent& event : health.events) {
     Json row = Json::object();
@@ -161,8 +156,9 @@ core::RunHealth health_from_json(const Json& json) {
       json.at("measurements_rejected").as_number());
   // Pool telemetry arrived after the first checkpoint format; tolerate
   // its absence so old checkpoints stay loadable. Files written before
-  // backward() lost its tape cache also carry two tape counters; they
-  // are ignored.
+  // backward() lost its tape cache carry two tape counters, and files
+  // written before the plan compiler was removed carry five plan
+  // counters; both are ignored.
   if (json.contains("pool_buffer_hits")) {
     health.pool_buffer_hits =
         static_cast<std::uint64_t>(json.at("pool_buffer_hits").as_number());
@@ -170,19 +166,6 @@ core::RunHealth health_from_json(const Json& json) {
         json.at("pool_buffer_misses").as_number());
     health.pool_bytes_recycled = static_cast<std::uint64_t>(
         json.at("pool_bytes_recycled").as_number());
-  }
-  // Plan telemetry is newer still; same tolerance.
-  if (json.contains("plan_hits")) {
-    health.plan_hits =
-        static_cast<std::uint64_t>(json.at("plan_hits").as_number());
-    health.plan_misses =
-        static_cast<std::uint64_t>(json.at("plan_misses").as_number());
-    health.plan_compiles =
-        static_cast<std::uint64_t>(json.at("plan_compiles").as_number());
-    health.plan_fused_ops =
-        static_cast<std::uint64_t>(json.at("plan_fused_ops").as_number());
-    health.plan_arena_bytes =
-        static_cast<std::uint64_t>(json.at("plan_arena_bytes").as_number());
   }
   for (const Json& row : json.at("events").as_array()) {
     core::WatchdogEvent event;
@@ -310,13 +293,36 @@ Json dataset_to_json(const predictors::MeasurementDataset& data,
 
 predictors::MeasurementDataset dataset_from_json(const Json& json) {
   check_header(json, "lightnas.dataset");
-  const auto num_ops =
-      static_cast<std::size_t>(json.at("num_ops").as_number());
+  const double ops_field = json.at("num_ops").as_number();
+  if (!(ops_field >= 1.0 && ops_field < 4294967296.0)) {
+    throw std::runtime_error("dataset: num_ops must be in [1, 2^32)");
+  }
+  const auto num_ops = static_cast<std::size_t>(ops_field);
   predictors::MeasurementDataset data;
-  for (const Json& row : json.at("rows").as_array()) {
-    space::Architecture arch =
-        space::Architecture::deserialize(row.at("arch").as_string());
-    data.encodings.push_back(arch.encode_one_hot(num_ops));
+  // One length across rows keeps every encoding the same width.
+  const std::vector<Json>& rows = json.at("rows").as_array();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Json& row = rows[r];
+    const auto fail = [r](const std::string& what) {
+      throw std::runtime_error("dataset row " + std::to_string(r) + ": " +
+                               what);
+    };
+    const std::string& text = row.at("arch").as_string();
+    space::Architecture arch;
+    try {
+      arch = space::Architecture::deserialize(text);
+    } catch (const std::logic_error&) {  // std::stoul on a bad token
+      fail("malformed architecture '" + text + "'");
+    }
+    if (r > 0 && arch.num_layers() != data.architectures[0].num_layers()) {
+      fail(std::to_string(arch.num_layers()) + " layers, but row 0 has " +
+           std::to_string(data.architectures[0].num_layers()));
+    }
+    try {
+      data.encodings.push_back(arch.encode_one_hot(num_ops));
+    } catch (const std::out_of_range& e) {
+      fail(e.what());
+    }
     data.architectures.push_back(std::move(arch));
     data.targets.push_back(row.at("target").as_number());
   }
@@ -391,173 +397,6 @@ void save_search_result(const std::string& path,
 
 core::SearchResult load_search_result(const std::string& path) {
   return search_result_from_json(read_json_file(path));
-}
-
-// --- compiled execution plans -------------------------------------------
-
-namespace {
-
-const char* plan_op_name(nn::plan::OpKind kind) {
-  switch (kind) {
-    case nn::plan::OpKind::kMatmul: return "matmul";
-    case nn::plan::OpKind::kAdd: return "add";
-    case nn::plan::OpKind::kAddBias: return "add_bias";
-    case nn::plan::OpKind::kScale: return "scale";
-    case nn::plan::OpKind::kAddScalar: return "add_scalar";
-    case nn::plan::OpKind::kRelu: return "relu";
-    case nn::plan::OpKind::kSoftmaxCE: return "softmax_ce";
-  }
-  return "?";
-}
-
-nn::plan::OpKind plan_op_from_name(const std::string& name) {
-  if (name == "matmul") return nn::plan::OpKind::kMatmul;
-  if (name == "add") return nn::plan::OpKind::kAdd;
-  if (name == "add_bias") return nn::plan::OpKind::kAddBias;
-  if (name == "scale") return nn::plan::OpKind::kScale;
-  if (name == "add_scalar") return nn::plan::OpKind::kAddScalar;
-  if (name == "relu") return nn::plan::OpKind::kRelu;
-  if (name == "softmax_ce") return nn::plan::OpKind::kSoftmaxCE;
-  throw std::runtime_error("unknown plan op kind '" + name + "'");
-}
-
-}  // namespace
-
-Json plan_to_json(const nn::plan::Program& program) {
-  Json json = Json::object();
-  json.set("kind", Json("lightnas.plan"));
-  json.set("version", Json(detail::format_version()));
-  Json slots = Json::array();
-  for (const nn::plan::ProgramSlot& slot : program.slots) {
-    Json row = Json::object();
-    row.set("rows", Json(slot.rows));
-    row.set("cols", Json(slot.cols));
-    switch (slot.kind) {
-      case nn::plan::SlotKind::kOp:
-        row.set("slot", Json("op"));
-        break;
-      case nn::plan::SlotKind::kParam:
-        row.set("slot", Json("param"));
-        row.set("name", Json(slot.param_name));
-        break;
-      case nn::plan::SlotKind::kInput:
-        row.set("slot", Json("input"));
-        row.set("input_index",
-                Json(static_cast<std::size_t>(slot.input_index)));
-        break;
-      case nn::plan::SlotKind::kBaked:
-        row.set("slot", Json("baked"));
-        row.set("baked", detail::tensor_to_json(slot.baked));
-        break;
-    }
-    slots.push_back(std::move(row));
-  }
-  json.set("slots", std::move(slots));
-  Json ops = Json::array();
-  for (const nn::plan::ProgramOp& op : program.ops) {
-    Json row = Json::object();
-    row.set("op", Json(plan_op_name(op.kind)));
-    row.set("out", Json(static_cast<std::size_t>(op.out)));
-    row.set("a", Json(static_cast<std::size_t>(op.a)));
-    if (op.b != nn::plan::kNoSlot) {
-      row.set("b", Json(static_cast<std::size_t>(op.b)));
-    }
-    if (op.kind == nn::plan::OpKind::kScale ||
-        op.kind == nn::plan::OpKind::kAddScalar) {
-      row.set("scalar", Json(op.scalar));
-    }
-    if (op.kind == nn::plan::OpKind::kSoftmaxCE) {
-      row.set("label_binding",
-              Json(static_cast<std::size_t>(op.label_binding)));
-    }
-    ops.push_back(std::move(row));
-  }
-  json.set("ops", std::move(ops));
-  json.set("root", Json(static_cast<std::size_t>(program.root)));
-  json.set("num_inputs", Json(static_cast<std::size_t>(program.num_inputs)));
-  json.set("num_label_bindings",
-           Json(static_cast<std::size_t>(program.num_label_bindings)));
-  return json;
-}
-
-nn::plan::Program plan_from_json(const Json& json) {
-  detail::check_header(json, "lightnas.plan");
-  nn::plan::Program program;
-  for (const Json& row : json.at("slots").as_array()) {
-    nn::plan::ProgramSlot slot;
-    slot.rows = static_cast<std::size_t>(row.at("rows").as_number());
-    slot.cols = static_cast<std::size_t>(row.at("cols").as_number());
-    const std::string& kind = row.at("slot").as_string();
-    if (kind == "op") {
-      slot.kind = nn::plan::SlotKind::kOp;
-    } else if (kind == "param") {
-      slot.kind = nn::plan::SlotKind::kParam;
-      slot.param_name = row.at("name").as_string();
-    } else if (kind == "input") {
-      slot.kind = nn::plan::SlotKind::kInput;
-      slot.input_index =
-          static_cast<std::uint32_t>(row.at("input_index").as_number());
-    } else if (kind == "baked") {
-      slot.kind = nn::plan::SlotKind::kBaked;
-      slot.baked = detail::tensor_from_json(row.at("baked"));
-    } else {
-      throw std::runtime_error("unknown plan slot kind '" + kind + "'");
-    }
-    program.slots.push_back(std::move(slot));
-  }
-  for (const Json& row : json.at("ops").as_array()) {
-    nn::plan::ProgramOp op;
-    op.kind = plan_op_from_name(row.at("op").as_string());
-    op.out = static_cast<std::uint32_t>(row.at("out").as_number());
-    op.a = static_cast<std::uint32_t>(row.at("a").as_number());
-    if (row.contains("b")) {
-      op.b = static_cast<std::uint32_t>(row.at("b").as_number());
-    }
-    if (row.contains("scalar")) op.scalar = row.at("scalar").as_number();
-    if (row.contains("label_binding")) {
-      op.label_binding =
-          static_cast<std::uint32_t>(row.at("label_binding").as_number());
-    }
-    program.ops.push_back(op);
-  }
-  program.root = static_cast<std::uint32_t>(json.at("root").as_number());
-  program.num_inputs =
-      static_cast<std::uint32_t>(json.at("num_inputs").as_number());
-  program.num_label_bindings = static_cast<std::uint32_t>(
-      json.at("num_label_bindings").as_number());
-  return program;
-}
-
-void bind_program_params(nn::plan::Program& program,
-                         const std::vector<nn::VarPtr>& params) {
-  for (nn::plan::ProgramSlot& slot : program.slots) {
-    if (slot.kind != nn::plan::SlotKind::kParam) continue;
-    slot.param = nullptr;
-    for (const nn::VarPtr& p : params) {
-      if (p->name != slot.param_name ||
-          p->value.rows() != slot.rows || p->value.cols() != slot.cols) {
-        continue;
-      }
-      if (slot.param != nullptr) {
-        throw std::runtime_error("plan parameter '" + slot.param_name +
-                                 "' matches multiple model parameters");
-      }
-      slot.param = p;
-    }
-    if (slot.param == nullptr) {
-      throw std::runtime_error("plan parameter '" + slot.param_name +
-                               "' has no matching model parameter");
-    }
-  }
-}
-
-void save_plan(const std::string& path,
-               const nn::plan::Program& program) {
-  write_json_file(path, plan_to_json(program));
-}
-
-nn::plan::Program load_plan(const std::string& path) {
-  return plan_from_json(read_json_file(path));
 }
 
 // --- search checkpoints ------------------------------------------------

@@ -7,7 +7,6 @@
 #include "core/lightnas.hpp"
 #include "io/json.hpp"
 #include "nn/data.hpp"
-#include "nn/plan.hpp"
 #include "predictors/dataset.hpp"
 #include "predictors/mlp_predictor.hpp"
 #include "space/architecture.hpp"
@@ -80,29 +79,6 @@ core::SearchResult search_result_from_json(const Json& json);
 void save_search_result(const std::string& path,
                         const core::SearchResult& result);
 core::SearchResult load_search_result(const std::string& path);
-
-// --- compiled execution plans -------------------------------------------
-
-/// A recorded nn::plan::Program as a loadable "compiled model" artifact:
-/// the shape-specialized dataflow graph with parameter slots saved by
-/// name + shape and baked constants inline. Kernel pointers, arena
-/// layout, and thread partitions are deliberately NOT serialized — a
-/// loaded program is recompiled (ExecutionPlan::compile) against the
-/// host it lands on, which re-pins the ISA tier and row partitions for
-/// that machine while the numerics stay bit-identical.
-Json plan_to_json(const nn::plan::Program& program);
-/// Parameter slots come back *unbound* (null VarPtr); call
-/// bind_program_params before compiling.
-nn::plan::Program plan_from_json(const Json& json);
-
-/// Re-bind a deserialized program's parameter slots to live model
-/// parameters, matched by name and value shape. Throws
-/// std::runtime_error when a slot has no unique match.
-void bind_program_params(nn::plan::Program& program,
-                         const std::vector<nn::VarPtr>& params);
-
-void save_plan(const std::string& path, const nn::plan::Program& program);
-nn::plan::Program load_plan(const std::string& path);
 
 // --- search checkpoints ------------------------------------------------
 

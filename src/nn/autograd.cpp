@@ -3,7 +3,6 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "nn/plan.hpp"
 #include "nn/pool.hpp"
 
 namespace lightnas::nn {
@@ -124,7 +123,6 @@ VarPtr make_leaf(Tensor value, std::string name) {
   v->value = std::move(value);
   v->requires_grad = true;
   v->name = std::move(name);
-  if (plan::detail::recording_active()) plan::detail::record_leaf(v);
   return v;
 }
 
@@ -133,7 +131,6 @@ VarPtr make_const(Tensor value, std::string name) {
   v->value = std::move(value);
   v->requires_grad = false;
   v->name = std::move(name);
-  if (plan::detail::recording_active()) plan::detail::record_const(v);
   return v;
 }
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "nn/plan.hpp"
 #include "util/check.hpp"
 
 namespace lightnas::nn::ops {
@@ -17,7 +16,7 @@ namespace {
 /// Whether a backward closure computes `p`'s gradient at all. A Var that
 /// tracks none — a constant, or a node computed from constants only —
 /// has no backward_fn and nobody reads its grad, so its gradient is
-/// never formed (the plan compiler's `needs` set makes the same cut).
+/// never formed.
 bool needs_grad(const VarPtr& p) { return p->requires_grad; }
 
 /// p->grad += g. Closures that compute `g` check needs_grad first.
@@ -40,7 +39,7 @@ VarPtr matmul(const VarPtr& a, const VarPtr& b) {
   const bool input = !needs_grad(a);
   Tensor out = input ? matmul_zero_skip(a->value, b->value)
                      : lightnas::nn::matmul(a->value, b->value);
-  VarPtr node = make_node(std::move(out), {a, b}, [a, b, input](Var& node) {
+  return make_node(std::move(out), {a, b}, [a, b, input](Var& node) {
     // dL/dA = dL/dC * B^T ; dL/dB = A^T * dL/dC
     if (needs_grad(a)) accumulate(a, matmul_nt(node.grad, b->value));
     if (needs_grad(b)) {
@@ -48,10 +47,6 @@ VarPtr matmul(const VarPtr& a, const VarPtr& b) {
                           : matmul_tn(a->value, node.grad));
     }
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kMatmul, a, &b, 0.0);
-  }
-  return node;
 }
 
 VarPtr add(const VarPtr& a, const VarPtr& b) {
@@ -60,14 +55,10 @@ VarPtr add(const VarPtr& a, const VarPtr& b) {
                      b->value.shape_string());
   Tensor out = a->value;
   out.add_inplace(b->value);
-  VarPtr node = make_node(std::move(out), {a, b}, [a, b](Var& node) {
+  return make_node(std::move(out), {a, b}, [a, b](Var& node) {
     accumulate(a, node.grad);
     accumulate(b, node.grad);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kAdd, a, &b, 0.0);
-  }
-  return node;
 }
 
 VarPtr sub(const VarPtr& a, const VarPtr& b) {
@@ -112,7 +103,7 @@ VarPtr add_bias(const VarPtr& x, const VarPtr& bias) {
                      bias->value.shape_string());
   Tensor out = x->value;
   out.add_row_inplace(bias->value);
-  VarPtr node = make_node(std::move(out), {x, bias}, [x, bias](Var& node) {
+  return make_node(std::move(out), {x, bias}, [x, bias](Var& node) {
     accumulate(x, node.grad);
     if (!needs_grad(bias)) return;
     const std::size_t cols = node.grad.cols();
@@ -125,24 +116,16 @@ VarPtr add_bias(const VarPtr& x, const VarPtr& bias) {
     }
     accumulate(bias, gb);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kAddBias, x, &bias, 0.0);
-  }
-  return node;
 }
 
 VarPtr scale(const VarPtr& x, double factor) {
   Tensor out = x->value;
   out.scale_inplace(static_cast<float>(factor));
-  VarPtr node = make_node(std::move(out), {x}, [x, factor](Var& node) {
+  return make_node(std::move(out), {x}, [x, factor](Var& node) {
     Tensor g = node.grad;
     g.scale_inplace(static_cast<float>(factor));
     accumulate(x, g);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kScale, x, nullptr, factor);
-  }
-  return node;
 }
 
 VarPtr add_scalar(const VarPtr& x, double constant) {
@@ -150,14 +133,9 @@ VarPtr add_scalar(const VarPtr& x, double constant) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] += static_cast<float>(constant);
   }
-  VarPtr node = make_node(std::move(out), {x}, [x](Var& node) {
+  return make_node(std::move(out), {x}, [x](Var& node) {
     accumulate(x, node.grad);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kAddScalar, x, nullptr,
-                            constant);
-  }
-  return node;
 }
 
 VarPtr mul_scalar(const VarPtr& x, const VarPtr& scalar) {
@@ -185,7 +163,7 @@ VarPtr mul_scalar(const VarPtr& x, const VarPtr& scalar) {
 VarPtr relu(const VarPtr& x) {
   Tensor out = x->value;
   out.relu_inplace();
-  VarPtr node = make_node(std::move(out), {x}, [x](Var& node) {
+  return make_node(std::move(out), {x}, [x](Var& node) {
     Tensor g = node.grad;
     float* gp = g.data().data();
     const float* xp = x->value.data().data();
@@ -194,10 +172,6 @@ VarPtr relu(const VarPtr& x) {
     }
     accumulate(x, g);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kRelu, x, nullptr, 0.0);
-  }
-  return node;
 }
 
 VarPtr sigmoid(const VarPtr& x) {
@@ -402,8 +376,8 @@ VarPtr softmax_cross_entropy(const VarPtr& logits,
   Tensor out = Tensor::scalar(
       static_cast<float>(total_loss / static_cast<double>(batch)));
 
-  VarPtr node = make_node(std::move(out), {logits},
-                          [logits, probs, labels = labels](Var& node) {
+  return make_node(std::move(out), {logits},
+                   [logits, probs, labels = labels](Var& node) {
     const float g = node.grad.item() /
                     static_cast<float>(logits->value.rows());
     Tensor gx = probs;
@@ -413,11 +387,6 @@ VarPtr softmax_cross_entropy(const VarPtr& logits,
     gx.scale_inplace(g);
     accumulate(logits, gx);
   });
-  if (plan::detail::recording_active()) {
-    plan::detail::record_op(node, plan::OpKind::kSoftmaxCE, logits, nullptr,
-                            0.0);
-  }
-  return node;
 }
 
 VarPtr mse_loss(const VarPtr& pred, const VarPtr& target) {

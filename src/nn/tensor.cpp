@@ -194,7 +194,11 @@ void Tensor::add_row_inplace(const Tensor& row) {
   LIGHTNAS_CHECK(row.rows() == 1 && row.cols() == cols_,
                  "add_row_inplace: " + shape_string() + " += row " +
                      row.shape_string());
-  add_row_into(data_.data(), row.data_.data(), rows_, cols_);
+  const float* bias = row.data_.data();
+  for (std::size_t r = 0; r < rows_; ++r) {
+    float* out = data_.data() + r * cols_;
+    for (std::size_t c = 0; c < cols_; ++c) out[c] += bias[c];
+  }
 }
 
 void Tensor::relu_inplace() {
@@ -205,7 +209,19 @@ void Tensor::add_row_relu_inplace(const Tensor& row) {
   LIGHTNAS_CHECK(row.rows() == 1 && row.cols() == cols_,
                  "add_row_relu_inplace: " + shape_string() + " += row " +
                      row.shape_string());
-  add_row_relu_into(data_.data(), row.data_.data(), rows_, cols_);
+  // Both tiers compute max(v + bias, 0) with one rounding per element —
+  // bit-identical by construction.
+  const float* bias = row.data_.data();
+  if (simd::active_isa() != simd::IsaLevel::kScalar) {
+    simd::add_row_relu_rows_avx2(data_.data(), bias, cols_, 0, rows_);
+    return;
+  }
+  for (std::size_t r = 0; r < rows_; ++r) {
+    float* out = data_.data() + r * cols_;
+    for (std::size_t c = 0; c < cols_; ++c) {
+      out[c] = std::max(out[c] + bias[c], 0.0f);
+    }
+  }
 }
 
 Tensor Tensor::reshaped(std::size_t rows, std::size_t cols) const {
@@ -376,6 +392,8 @@ void matmul_tn_rows_scalar(const float* a, const float* b, float* c,
   }
 }
 
+namespace {
+
 /// C(r0..r1, :) = A(r0..r1, :) * B^T for row-major A (m x k), B (n x k).
 /// Four independent dot accumulators per j-tile; each is its own
 /// ascending-p chain, so per-element order matches the naive dot.
@@ -413,6 +431,10 @@ void matmul_nt_rows_scalar(const float* a, const float* b, float* c,
   }
 }
 
+/// Raw-pointer forms of the three GEMMs over caller-owned buffers: one
+/// ISA resolution per call, kc = kGemmBlock. The Tensor wrappers and the
+/// zero-skip fallbacks below share them. Buffers must not alias; `c` is
+/// fully overwritten (k == 0 zero-fills it).
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) {
   if (k == 0) {  // no k-blocks: the kernel never writes C
@@ -457,29 +479,7 @@ void matmul_nt_into(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
-void add_row_into(float* data, const float* bias, std::size_t rows,
-                  std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* out = data + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) out[c] += bias[c];
-  }
-}
-
-void add_row_relu_into(float* data, const float* bias, std::size_t rows,
-                       std::size_t cols) {
-  // Both tiers compute max(v + bias, 0) with one rounding per element —
-  // bit-identical by construction.
-  if (simd::active_isa() != simd::IsaLevel::kScalar) {
-    simd::add_row_relu_rows_avx2(data, bias, cols, 0, rows);
-    return;
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* out = data + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) {
-      out[c] = std::max(out[c] + bias[c], 0.0f);
-    }
-  }
-}
+}  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   LIGHTNAS_CHECK(a.cols() == b.rows(),

@@ -155,41 +155,18 @@ Tensor matmul_tn_zero_skip(const Tensor& a, const Tensor& b);
 /// accumulation chain.
 constexpr std::size_t kGemmBlock = 64;
 
-/// Raw-pointer forms of the three GEMMs over caller-owned buffers.
-/// These hold the single dispatch path — one ISA resolution per call,
-/// kc = kGemmBlock — and the Tensor wrappers above delegate to them, so
-/// a compiled execution plan (plan.hpp) running on arena storage goes
-/// through the exact same kernels, bit for bit, as the dynamic graph.
-/// Buffers must not alias; `c` holds the full output and is fully
-/// overwritten (k == 0 zero-fills it).
-void matmul_into(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n);
-/// C = A^T * B with A stored (k x m) row-major; C is (m x n).
-void matmul_tn_into(const float* a, const float* b, float* c, std::size_t k,
-                    std::size_t m, std::size_t n);
-/// C = A * B^T with B stored (n x k) row-major; C is (m x n).
-void matmul_nt_into(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n);
-/// Raw-pointer row-broadcast helpers (the add_row_*_inplace bodies):
-/// data is (rows x cols), bias is one row of cols floats.
-void add_row_into(float* data, const float* bias, std::size_t rows,
-                  std::size_t cols);
-void add_row_relu_into(float* data, const float* bias, std::size_t rows,
-                       std::size_t cols);
-
-/// Row-range scalar GEMM kernels (the serial reference tier). Exposed
-/// so a compiled execution plan can pin a kernel pointer at compile
-/// time instead of re-dispatching per call; the *_into forms above and
-/// the SIMD microkernels of simd.hpp share the exact accumulation-chain
-/// contract, so any row partitioning of [r0, r1) is bit-identical.
+/// Row-range scalar GEMM kernels (the serial reference tier) with the
+/// k-block edge as a parameter: rows [r0, r1) of C = A * B and of
+/// C = A^T * B, fully overwritten. matmul / matmul_tn run them at
+/// kGemmBlock when the scalar tier is active. They are public so tests
+/// can check the blocked chain against the textbook loop at any block
+/// edge; the SIMD microkernels of simd.hpp share the same
+/// accumulation-chain contract, so any row partition is bit-identical.
 void matmul_rows_scalar(const float* a, const float* b, float* c,
                         std::size_t k, std::size_t n, std::size_t r0,
                         std::size_t r1, std::size_t kc);
 void matmul_tn_rows_scalar(const float* a, const float* b, float* c,
                            std::size_t k, std::size_t m, std::size_t n,
                            std::size_t i0, std::size_t i1, std::size_t kc);
-void matmul_nt_rows_scalar(const float* a, const float* b, float* c,
-                           std::size_t k, std::size_t n, std::size_t r0,
-                           std::size_t r1);
 
 }  // namespace lightnas::nn

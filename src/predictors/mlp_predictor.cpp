@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "nn/ops.hpp"
 #include "nn/optim.hpp"
@@ -13,6 +14,22 @@
 #include "util/stats.hpp"
 
 namespace lightnas::predictors {
+
+namespace {
+
+/// Checked in every build: the forward copies an encoding into an
+/// uninitialized input row, so a narrower one would leave the row's tail
+/// unset and a wider one would overrun it.
+void check_width(const char* caller, std::size_t width, std::size_t want) {
+  if (width != want) {
+    throw std::invalid_argument(std::string(caller) + ": encoding width " +
+                                std::to_string(width) +
+                                " does not match the predictor's input "
+                                "width " + std::to_string(want));
+  }
+}
+
+}  // namespace
 
 MlpPredictor::MlpPredictor(std::size_t num_layers, std::size_t num_ops,
                            std::uint64_t seed, std::string unit)
@@ -112,7 +129,8 @@ double MlpPredictor::predict(const space::Architecture& arch) const {
 double MlpPredictor::predict_encoding(
     const std::vector<float>& encoding) const {
   assert(trained_);
-  assert(encoding.size() == input_dim());
+  check_width("MlpPredictor::predict_encoding", encoding.size(),
+              input_dim());
   nn::Tensor x = nn::Tensor::uninitialized(1, input_dim());
   std::copy(encoding.begin(), encoding.end(), x.data().begin());
   const nn::VarPtr out = mlp_->forward(nn::make_const(std::move(x)));
@@ -127,7 +145,7 @@ std::vector<double> MlpPredictor::predict_batch(
   nn::Tensor x = nn::Tensor::uninitialized(archs.size(), input_dim());
   for (std::size_t r = 0; r < archs.size(); ++r) {
     const std::vector<float> enc = archs[r].encode_one_hot(num_ops_);
-    assert(enc.size() == input_dim());
+    check_width("MlpPredictor::predict_batch", enc.size(), input_dim());
     std::copy(enc.begin(), enc.end(),
               x.data().begin() +
                   static_cast<std::ptrdiff_t>(r * input_dim()));
@@ -198,6 +216,11 @@ MlpPredictor MlpPredictor::from_state(const State& state) {
 
 PredictorReport MlpPredictor::evaluate(
     const MeasurementDataset& data) const {
+  if (data.encodings.size() != data.targets.size()) {
+    throw std::invalid_argument(
+        "MlpPredictor::evaluate: " + std::to_string(data.encodings.size()) +
+        " encodings for " + std::to_string(data.targets.size()) + " targets");
+  }
   std::vector<double> predicted;
   predicted.reserve(data.size());
   for (const std::vector<float>& enc : data.encodings) {

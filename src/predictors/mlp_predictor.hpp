@@ -49,7 +49,10 @@ class MlpPredictor : public HardwarePredictor {
   /// samples, or an encoding whose width is not input_dim().
   double train(const MeasurementDataset& data, const MlpTrainConfig& config);
 
-  /// Point prediction in the target's unit.
+  /// Point prediction in the target's unit. Throws
+  /// std::invalid_argument for an encoding whose width is not
+  /// input_dim() (an architecture with the wrong layer count), here and
+  /// in predict_batch.
   double predict(const space::Architecture& arch) const override;
   double predict_encoding(const std::vector<float>& encoding) const;
 
@@ -68,7 +71,9 @@ class MlpPredictor : public HardwarePredictor {
 
   std::string unit() const override { return unit_; }
 
-  /// Evaluate on a held-out set.
+  /// Evaluate on a held-out set. Throws std::invalid_argument when the
+  /// encodings and targets differ in count or an encoding has the wrong
+  /// width.
   PredictorReport evaluate(const MeasurementDataset& data) const;
 
   bool is_trained() const { return trained_; }

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "space/search_space.hpp"
 
@@ -23,7 +25,13 @@ void Architecture::set_op(std::size_t layer, std::size_t op_index) {
 std::vector<float> Architecture::encode_one_hot(std::size_t num_ops) const {
   std::vector<float> encoding(op_indices_.size() * num_ops, 0.0f);
   for (std::size_t l = 0; l < op_indices_.size(); ++l) {
-    assert(op_indices_[l] < num_ops);
+    // Checked in every build: ops come from files and the command line,
+    // and one past num_ops would land in the next layer or past the end.
+    if (op_indices_[l] >= num_ops) {
+      throw std::out_of_range("layer " + std::to_string(l) + " has op " +
+                              std::to_string(op_indices_[l]) +
+                              ", but num_ops is " + std::to_string(num_ops));
+    }
     encoding[l * num_ops + op_indices_[l]] = 1.0f;
   }
   return encoding;

@@ -30,7 +30,8 @@ class Architecture {
   void set_with_se(bool v) { with_se_ = v; }
 
   /// Flattened L*K one-hot encoding (row-major), Eq (4). This is the
-  /// latency predictor's input representation.
+  /// latency predictor's input representation. Throws std::out_of_range
+  /// when an op is not below num_ops.
   std::vector<float> encode_one_hot(std::size_t num_ops) const;
 
   /// Inverse of encode_one_hot. Requires a valid one-hot per row.

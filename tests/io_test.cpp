@@ -8,6 +8,8 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "io/json.hpp"
 #include "io/serialize.hpp"
@@ -268,6 +270,58 @@ TEST_F(SerializeTest, DatasetRoundTrip) {
   }
 }
 
+// A dataset with num_ops = 3 and the given architecture strings.
+Json dataset_json(const std::vector<std::string>& archs) {
+  Json json = Json::object();
+  json.set("kind", Json("lightnas.dataset"));
+  json.set("version", Json(detail::format_version()));
+  json.set("num_ops", Json(3));
+  Json rows = Json::array();
+  for (const std::string& arch : archs) {
+    Json row = Json::object();
+    row.set("arch", Json(arch));
+    row.set("target", Json(1.5));
+    rows.push_back(std::move(row));
+  }
+  json.set("rows", std::move(rows));
+  return json;
+}
+
+std::string dataset_error(const std::vector<std::string>& archs) {
+  try {
+    dataset_from_json(dataset_json(archs));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Regression: the loader only asserted op < num_ops inside
+// encode_one_hot, so in Release an op of num_ops in the last layer wrote
+// past the encoding (heap corruption), one in a middle layer set the
+// next layer's slot, and "-1" wrapped to 2^64 - 1.
+TEST_F(SerializeTest, DatasetRejectsOutOfRangeOps) {
+  EXPECT_EQ(dataset_from_json(dataset_json({"0,1,2", "2,2,0"})).size(), 2u);
+  EXPECT_EQ(dataset_error({"0,1,2", "0,1,3"}),
+            "dataset row 1: layer 2 has op 3, but num_ops is 3");
+  EXPECT_EQ(dataset_error({"0,3,2"}),
+            "dataset row 0: layer 1 has op 3, but num_ops is 3");
+  EXPECT_NE(dataset_error({"0,-1,2"}).find("dataset row 0: layer 1 has op"),
+            std::string::npos);
+}
+
+TEST_F(SerializeTest, DatasetRejectsRaggedAndMalformedRows) {
+  EXPECT_EQ(dataset_error({"0,1,2", "0,1"}),
+            "dataset row 1: 2 layers, but row 0 has 3");
+  EXPECT_EQ(dataset_error({"0,1,2", "0,,2"}),
+            "dataset row 1: malformed architecture '0,,2'");
+  EXPECT_EQ(dataset_error({"0,x,2"}),
+            "dataset row 0: malformed architecture '0,x,2'");
+  Json zero_ops = dataset_json({"0,0,0"});
+  zero_ops.set("num_ops", Json(0));
+  EXPECT_THROW(dataset_from_json(zero_ops), std::runtime_error);
+}
+
 TEST_F(SerializeTest, SearchResultRoundTrip) {
   core::SearchResult result;
   util::Rng rng(3);
@@ -340,7 +394,6 @@ core::SearchCheckpoint golden_checkpoint() {
   ck.health.rollbacks = 1;
   ck.health.completed_epochs = 5;
   ck.health.pool_bytes_recycled = 999999999999999ULL;
-  ck.health.plan_arena_bytes = 1000000000000000ULL;
   ck.health.events.push_back({3, "loss \"nan\"\n\tat\x01 epoch\\3", true});
   core::SearchEpochStats stats;
   stats.epoch = 4;
@@ -367,10 +420,8 @@ constexpr const char* kGoldenCheckpoint =
     R"(008"]},"health":{"aborted_early":false,"completed_epochs":5,"event)"
     R"(s":[{"epoch":3,"reason":"loss \"nan\"\n\tat\u0001 epoch\\3","rolle)"
     R"(d_back":true}],"interrupted":false,"measurement_retries":0,"measur)"
-    R"(ements_rejected":0,"plan_arena_bytes":1000000000000000,"plan_compi)"
-    R"(les":0,"plan_fused_ops":0,"plan_hits":0,"plan_misses":0,"pool_buff)"
-    R"(er_hits":0,"pool_buffer_misses":0,"pool_bytes_recycled":9999999999)"
-    R"(99999,"resumed":false,"res)"
+    R"(ements_rejected":0,"pool_buffer_hits":0,"pool_buffer_misses":0,"po)"
+    R"(ol_bytes_recycled":999999999999999,"resumed":false,"res)"
     R"(umed_from_epoch":0,"rollbacks":1},"kind":"lightnas.checkpoint","la)"
     R"(mbdas":[0.12345678901234568,-0],"next_epoch":5,"rng":{"cached_norm)"
     R"(al":-1.2345678901234567,"have_cached_normal":true,"s":["0000000000)"
@@ -421,12 +472,12 @@ TEST_F(SerializeTest, CheckpointBytesMatchGolden) {
 
 // A run-health record as this build writes it: pool telemetry without
 // the two tape counters that files from before the tape cache's removal
-// carry.
+// carry, and without the five plan counters that files from before the
+// plan compiler's removal carry.
 constexpr const char* kHealthJson =
     R"({"aborted_early":false,"completed_epochs":5,"events":[],)"
     R"("interrupted":false,"measurement_retries":2,)"
-    R"("measurements_rejected":1,"plan_arena_bytes":0,"plan_compiles":0,)"
-    R"("plan_fused_ops":0,"plan_hits":0,"plan_misses":0,)"
+    R"("measurements_rejected":1,)"
     R"("pool_buffer_hits":700,"pool_buffer_misses":30,)"
     R"("pool_bytes_recycled":4096,"resumed":false,"resumed_from_epoch":0,)"
     R"("rollbacks":1})";
@@ -448,10 +499,14 @@ TEST_F(SerializeTest, HealthWithoutTapeCountersLoads) {
   EXPECT_EQ(detail::health_to_json(health).dump(), json.dump());
 }
 
-TEST_F(SerializeTest, HealthWithLegacyTapeCountersLoads) {
+TEST_F(SerializeTest, HealthWithLegacyTapeAndPlanCountersLoads) {
   Json json = Json::parse(kHealthJson);
   for (const char* counter : {"tape_hits", "tape_misses"}) {
     json.set(std::string("pool_") + counter, Json(9));
+  }
+  for (const char* counter :
+       {"hits", "misses", "compiles", "fused_ops", "arena_bytes"}) {
+    json.set(std::string("plan_") + counter, Json(9));
   }
   const core::RunHealth health = detail::health_from_json(json);
   expect_health_fields(health);

@@ -148,6 +148,39 @@ TEST_F(PredictorTest, TrainRejectsBadInputInEveryBuild) {
   EXPECT_NO_THROW(predictor.train(data, config));
 }
 
+// Regression: the predict paths only asserted the width, so in Release
+// eval-predictor on a 5-layer dataset reported an RMSE computed from the
+// unset tail of the input row, and a longer encoding overran it.
+TEST_F(PredictorTest, PredictAndEvaluateRejectBadInputInEveryBuild) {
+  util::Rng rng(5);
+  const MeasurementDataset data = build_measurement_dataset(
+      space_, device_, 8, Metric::kLatencyMs, rng);
+  MlpPredictor predictor(space_.num_layers(), space_.num_ops(), 7);
+  MlpTrainConfig config;
+  config.epochs = 1;
+  predictor.train(data, config);
+
+  const space::Architecture short_arch({0, 1, 2, 3, 4});
+  const std::vector<float> narrow =
+      short_arch.encode_one_hot(space_.num_ops());
+  EXPECT_THROW(predictor.predict_encoding(narrow), std::invalid_argument);
+  EXPECT_THROW(predictor.predict(short_arch), std::invalid_argument);
+  EXPECT_THROW(predictor.predict_batch({short_arch}), std::invalid_argument);
+  std::vector<float> wide = data.encodings.front();
+  wide.push_back(0.0f);
+  EXPECT_THROW(predictor.predict_encoding(wide), std::invalid_argument);
+
+  MeasurementDataset shallow = data;
+  for (std::vector<float>& enc : shallow.encodings) enc = narrow;
+  EXPECT_THROW(predictor.evaluate(shallow), std::invalid_argument);
+
+  MeasurementDataset extra_target = data;
+  extra_target.targets.push_back(1.0);
+  EXPECT_THROW(predictor.evaluate(extra_target), std::invalid_argument);
+
+  EXPECT_NO_THROW(predictor.evaluate(data));
+}
+
 TEST_F(PredictorTest, MlpIsDifferentiableWrtEncoding) {
   util::Rng rng(6);
   const MeasurementDataset data = build_measurement_dataset(

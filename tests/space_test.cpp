@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "space/architecture.hpp"
@@ -130,6 +131,15 @@ TEST(Architecture, OneHotRoundTrip) {
         enc, space.num_layers(), space.num_ops());
     EXPECT_EQ(decoded.ops(), arch.ops());
   }
+}
+
+// Regression: the range check was an assert, so in Release an op of
+// num_ops in the last layer (`lightnas predict --arch ...,7`) wrote past
+// the encoding and one in a middle layer set the next layer's slot.
+TEST(Architecture, OneHotRejectsOutOfRangeOp) {
+  EXPECT_THROW(Architecture({0, 1, 3}).encode_one_hot(3), std::out_of_range);
+  EXPECT_THROW(Architecture({0, 3, 1}).encode_one_hot(3), std::out_of_range);
+  EXPECT_EQ(Architecture({0, 2, 1}).encode_one_hot(3).size(), 9u);
 }
 
 TEST(Architecture, SerializeRoundTrip) {

@@ -37,34 +37,6 @@ READING = "reading"
 
 # Every gate key must hold true.
 SCHEMAS = {
-    ("BENCH_plan.json", "plan_compile"): {
-        "keys": {
-            "bench": STR,
-            "smoke": BOOL,
-            "measured": BOOL,
-            "steps_per_s_dynamic": READING,
-            "steps_per_s_planned": READING,
-            "speedup": READING,
-            "exec_heap_allocs": NUM,
-            "exec_pool_ops": NUM,
-            "steady_heap_allocs": NUM,
-            "steady_pool_misses": NUM,
-            "steady_pool_hits": NUM,
-            "steady_plan_hits": NUM,
-            "roundtrip_specs": NUM,
-            "plan_hits": NUM,
-            "plan_misses": NUM,
-            "plan_compiles": NUM,
-            "plan_fused_ops": NUM,
-            "plan_arena_bytes": NUM,
-        },
-        "gates": {
-            "throughput_pass": True,
-            "zero_overhead": True,
-            "roundtrip_bit_identical": True,
-            "predictor_bit_identical": True,
-        },
-    },
     ("BENCH_alloc.json", "steady_state"): {
         "keys": {
             "bench": STR,
