@@ -180,15 +180,10 @@ core::SearchResult ProxylessSearch::search() {
         sampled_cost_count > 0
             ? sampled_cost_sum / static_cast<double>(sampled_cost_count)
             : stats.predicted_cost;
-    {
-      const nn::VarPtr logits = supernet.forward_single_path(
-          task_->valid.features, stats.derived.ops());
-      const nn::VarPtr loss =
-          nn::ops::softmax_cross_entropy(logits, task_->valid.labels);
-      stats.valid_loss = static_cast<double>(loss->value.item());
-      stats.valid_accuracy =
-          nn::ops::accuracy(logits->value, task_->valid.labels);
-    }
+    const core::EvalResult eval =
+        supernet.evaluate(task_->valid, stats.derived.ops());
+    stats.valid_loss = eval.loss;
+    stats.valid_accuracy = eval.accuracy;
     result.trace.push_back(std::move(stats));
   }
 

@@ -8,7 +8,6 @@
 
 #include "core/gumbel.hpp"
 #include "core/search_step.hpp"
-#include "nn/ops.hpp"
 #include "nn/parallel.hpp"
 #include "nn/pool.hpp"
 #include "util/log.hpp"
@@ -349,14 +348,10 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
                     ? job.sampled_cost_sum /
                           static_cast<double>(job.sampled_cost_count)
                     : stats.predicted_cost;
-            const nn::VarPtr logits =
-                trainer.supernet().forward_single_path(
-                    task_->valid.features, stats.derived.ops());
-            const nn::VarPtr loss = nn::ops::softmax_cross_entropy(
-                logits, task_->valid.labels);
-            stats.valid_loss = static_cast<double>(loss->value.item());
-            stats.valid_accuracy =
-                nn::ops::accuracy(logits->value, task_->valid.labels);
+            const core::EvalResult eval = trainer.supernet().evaluate(
+                task_->valid, stats.derived.ops());
+            stats.valid_loss = eval.loss;
+            stats.valid_accuracy = eval.accuracy;
             epoch_stats[i] = std::move(stats);
           }
         });

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "core/search_step.hpp"
-#include "nn/ops.hpp"
 #include "nn/optim.hpp"
 #include "nn/pool.hpp"
 #include "util/log.hpp"
@@ -313,15 +312,10 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
         sampled_cost_count > 0
             ? sampled_cost_sum / static_cast<double>(sampled_cost_count)
             : stats.predicted_cost;
-    {
-      const nn::VarPtr logits = trainer.supernet().forward_single_path(
-          task_->valid.features, stats.derived.ops());
-      const nn::VarPtr loss =
-          nn::ops::softmax_cross_entropy(logits, task_->valid.labels);
-      stats.valid_loss = static_cast<double>(loss->value.item());
-      stats.valid_accuracy =
-          nn::ops::accuracy(logits->value, task_->valid.labels);
-    }
+    const EvalResult eval =
+        trainer.supernet().evaluate(task_->valid, stats.derived.ops());
+    stats.valid_loss = eval.loss;
+    stats.valid_accuracy = eval.accuracy;
     if (config_.log_progress) {
       util::log_info() << "epoch " << epoch << " tau=" << stats.tau
                        << " lambda=" << stats.lambda << " cost="

@@ -77,6 +77,24 @@ nn::VarPtr SurrogateSupernet::forward_single_path(
   return classifier_->forward(x);
 }
 
+EvalResult SurrogateSupernet::evaluate(
+    const nn::Dataset& data, const std::vector<std::size_t>& op_choice) const {
+  assert(op_choice.size() == space_->num_layers());
+  nn::Tensor x = stem_->forward_inference(data.features, /*fuse_relu=*/true);
+  for (std::size_t l = 0; l < op_choice.size(); ++l) {
+    assert(op_choice[l] < space_->num_ops());
+    const nn::ResidualBlock* block = blocks_[l][op_choice[l]].get();
+    if (block != nullptr) x = block->forward_inference(x);
+  }
+  const nn::Tensor logits = classifier_->forward_inference(x);
+  nn::Tensor probs;
+  EvalResult result;
+  result.loss = static_cast<double>(
+      nn::ops::softmax_cross_entropy_forward(logits, data.labels, probs));
+  result.accuracy = nn::ops::accuracy(logits, data.labels);
+  return result;
+}
+
 nn::VarPtr SurrogateSupernet::forward_multi_path(
     const nn::Tensor& features, const nn::VarPtr& path_weights) const {
   assert(path_weights->value.rows() == space_->num_layers());

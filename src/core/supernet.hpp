@@ -24,6 +24,12 @@ struct SupernetConfig {
   std::uint64_t seed = 99;
 };
 
+/// Mean loss and accuracy of one read-only evaluation.
+struct EvalResult {
+  double loss = 0.0;
+  double accuracy = 0.0;
+};
+
 /// Trainable weight-sharing supernet over the layer-wise search space.
 ///
 /// This is the repo's substitute for the ImageNet-100 supernet (see
@@ -65,6 +71,17 @@ class SurrogateSupernet {
       const nn::Tensor& features,
       const std::vector<std::size_t>& op_choice,
       const std::vector<nn::VarPtr>& gates = {}) const;
+
+  /// Graph-free single-path evaluation of `op_choice` on `data`: the
+  /// mean softmax cross-entropy and the accuracy. Bit-identical to
+  /// forward_single_path + ops::softmax_cross_entropy + ops::accuracy
+  /// (same kernels in the same order), but it builds no autograd graph,
+  /// so only one layer's activations are alive at a time. It reads only
+  /// the weight values, so concurrent calls are safe. Every read-only
+  /// evaluation runs through here; forward_single_path is for steps
+  /// that call backward.
+  EvalResult evaluate(const nn::Dataset& data,
+                      const std::vector<std::size_t>& op_choice) const;
 
   /// Multi-path forward per Eq (1)/(8)-soft: `path_weights` is an L x K
   /// Var of per-layer op weights (rows of a softmax). Every candidate in

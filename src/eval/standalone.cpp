@@ -58,12 +58,9 @@ StandaloneResult train_standalone(const space::SearchSpace& space,
         epoch_loss / static_cast<double>(config.steps_per_epoch);
   }
 
-  const nn::VarPtr logits =
-      net.forward_single_path(task.valid.features, arch.ops());
-  const nn::VarPtr loss =
-      nn::ops::softmax_cross_entropy(logits, task.valid.labels);
-  result.valid_loss = static_cast<double>(loss->value.item());
-  result.valid_accuracy = nn::ops::accuracy(logits->value, task.valid.labels);
+  const core::EvalResult eval = net.evaluate(task.valid, arch.ops());
+  result.valid_loss = eval.loss;
+  result.valid_accuracy = eval.accuracy;
   return result;
 }
 

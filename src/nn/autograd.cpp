@@ -169,10 +169,15 @@ const std::vector<Var*>& backward(const VarPtr& root) {
   const std::vector<Var*>& tape = sorted_graph(root.get());
   std::vector<Var*>& leaves = arena().leaves;
   leaves.clear();
+  // Only nodes that track a gradient get one: a constant (an input
+  // batch, say) has no closure and no reader, so its gradient is never
+  // formed. The root is always seeded.
   for (Var* node : tape) {
+    if (!node->requires_grad) continue;
     node->ensure_grad();
-    if (node->requires_grad && !node->backward_fn) leaves.push_back(node);
+    if (!node->backward_fn) leaves.push_back(node);
   }
+  root->ensure_grad();
   root->grad.fill(1.0f);
   // `tape` is parents-before-children; traverse children-first.
   for (auto it = tape.rbegin(); it != tape.rend(); ++it) {

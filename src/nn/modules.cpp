@@ -107,6 +107,18 @@ VarPtr ResidualBlock::forward_gated(const VarPtr& x,
   return ops::add(x, ops::mul_scalar(branch, gate));
 }
 
+Tensor ResidualBlock::forward_inference(const Tensor& x) const {
+  Tensor branch =
+      fc2_.forward_inference(fc1_.forward_inference(x, /*fuse_relu=*/true));
+  if (branch_scale_ != 1.0) {
+    branch.scale_inplace(static_cast<float>(branch_scale_));
+  }
+  // IEEE addition commutes, so adding x into the branch's buffer gives
+  // forward's x + branch without a copy of x.
+  branch.add_inplace(x);
+  return branch;
+}
+
 std::vector<VarPtr> ResidualBlock::parameters() const {
   std::vector<VarPtr> params = fc1_.parameters();
   for (const VarPtr& p : fc2_.parameters()) params.push_back(p);

@@ -100,6 +100,11 @@ class ResidualBlock : public Module {
   /// assignment.)
   VarPtr forward_gated(const VarPtr& x, const VarPtr& gate) const;
 
+  /// Graph-free forward: x + s * fc2(relu(fc1 x)) on plain tensors, with
+  /// fc1's bias and ReLU fused. Bit-identical to `forward`; see
+  /// Linear::forward_inference for the contract.
+  Tensor forward_inference(const Tensor& x) const;
+
   std::vector<VarPtr> parameters() const override;
 
   std::size_t hidden() const { return hidden_; }

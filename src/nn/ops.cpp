@@ -343,41 +343,50 @@ VarPtr slice_rows(const VarPtr& x, std::size_t start, std::size_t count) {
   });
 }
 
-VarPtr softmax_cross_entropy(const VarPtr& logits,
-                             const std::vector<std::size_t>& labels) {
-  LIGHTNAS_CHECK(logits->value.rows() == labels.size(),
+float softmax_cross_entropy_forward(const Tensor& logits,
+                                    const std::vector<std::size_t>& labels,
+                                    Tensor& probs) {
+  LIGHTNAS_CHECK(logits.rows() == labels.size(),
                  "ops::softmax_cross_entropy: logits " +
-                     logits->value.shape_string() + " vs " +
+                     logits.shape_string() + " vs " +
                      std::to_string(labels.size()) + " labels");
-  const std::size_t batch = logits->value.rows();
-  const std::size_t classes = logits->value.cols();
+  const std::size_t batch = logits.rows();
+  const std::size_t classes = logits.cols();
 
-  // Stable softmax probabilities, cached for the backward pass.
-  Tensor probs = Tensor::uninitialized(batch, classes);
+  // Stable softmax probabilities; every element is assigned below.
+  probs = Tensor::uninitialized(batch, classes);
   double total_loss = 0.0;
   for (std::size_t r = 0; r < batch; ++r) {
     LIGHTNAS_CHECK(labels[r] < classes,
                    "ops::softmax_cross_entropy: label " +
                        std::to_string(labels[r]) + " >= " +
                        std::to_string(classes) + " classes");
-    float mx = logits->value.at(r, 0);
+    float mx = logits.at(r, 0);
     for (std::size_t c = 1; c < classes; ++c) {
-      mx = std::max(mx, logits->value.at(r, c));
+      mx = std::max(mx, logits.at(r, c));
     }
     float denom = 0.0f;
     for (std::size_t c = 0; c < classes; ++c) {
-      const float e = std::exp(logits->value.at(r, c) - mx);
+      const float e = std::exp(logits.at(r, c) - mx);
       probs.at(r, c) = e;
       denom += e;
     }
     for (std::size_t c = 0; c < classes; ++c) probs.at(r, c) /= denom;
     total_loss -= std::log(std::max(probs.at(r, labels[r]), 1e-12f));
   }
+  return static_cast<float>(total_loss / static_cast<double>(batch));
+}
+
+VarPtr softmax_cross_entropy(const VarPtr& logits,
+                             const std::vector<std::size_t>& labels) {
+  // The probabilities are cached for the backward pass.
+  Tensor probs;
   Tensor out = Tensor::scalar(
-      static_cast<float>(total_loss / static_cast<double>(batch)));
+      softmax_cross_entropy_forward(logits->value, labels, probs));
 
   return make_node(std::move(out), {logits},
-                   [logits, probs, labels = labels](Var& node) {
+                   [logits, probs = std::move(probs),
+                    labels = labels](Var& node) {
     const float g = node.grad.item() /
                     static_cast<float>(logits->value.rows());
     Tensor gx = probs;

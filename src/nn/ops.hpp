@@ -75,6 +75,14 @@ VarPtr binarize_rows_ste(const VarPtr& x);
 VarPtr softmax_cross_entropy(const VarPtr& logits,
                              const std::vector<std::size_t>& labels);
 
+/// The forward half of softmax_cross_entropy on plain tensors: returns
+/// the mean loss and writes the row-wise softmax to `probs`. The op and
+/// graph-free evaluation both run this one loop, so their losses are
+/// bit-identical.
+float softmax_cross_entropy_forward(const Tensor& logits,
+                                    const std::vector<std::size_t>& labels,
+                                    Tensor& probs);
+
 /// Mean squared error between pred and target (same shape) -> 1x1.
 VarPtr mse_loss(const VarPtr& pred, const VarPtr& target);
 

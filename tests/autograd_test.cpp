@@ -136,6 +136,40 @@ TEST(Autograd, ConstantsReceiveNoGradient) {
   EXPECT_GT(w->grad.abs_max(), 0.0f);
 }
 
+TEST(Autograd, ConstantInputGradientIsNeverFormed) {
+  // A predictor-training step: a one-hot input batch is a constant, so
+  // backward forms no gradient for it (nor for the constant target),
+  // and the leaf gradients equal those of the same step with the input
+  // as a leaf.
+  Tensor onehot = Tensor::zeros(8, 12);
+  for (std::size_t r = 0; r < onehot.rows(); ++r) {
+    onehot.at(r, (r * 5) % onehot.cols()) = 1.0f;
+  }
+  const VarPtr w = random_leaf(12, 3, 15);
+  const VarPtr b = random_leaf(1, 3, 16);
+  const VarPtr target = make_const(Tensor::full(8, 3, 0.25f));
+  const auto step = [&](const VarPtr& x) {
+    w->zero_grad();
+    b->zero_grad();
+    backward(mse_loss(relu(add_bias(matmul(x, w), b)), target));
+    return std::vector<Tensor>{w->grad, b->grad};
+  };
+
+  const VarPtr x = make_const(onehot);
+  const std::vector<Tensor> got = step(x);
+  EXPECT_TRUE(x->grad.empty());
+  EXPECT_TRUE(target->grad.empty());
+
+  const VarPtr x_leaf = make_leaf(onehot);
+  const std::vector<Tensor> want = step(x_leaf);
+  EXPECT_FALSE(x_leaf->grad.empty());
+  EXPECT_TRUE(target->grad.empty());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_GT(want[i].abs_max(), 0.0f);
+    EXPECT_EQ(got[i].data(), want[i].data());
+  }
+}
+
 TEST(Autograd, BackwardListsExactlyTheLeavesItWrote) {
   const VarPtr a = random_leaf(2, 2, 11);  // used twice
   const VarPtr c = random_leaf(2, 2, 12);  // only behind a detach

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/gumbel.hpp"
@@ -12,6 +15,8 @@
 #include "nn/data.hpp"
 #include "nn/ops.hpp"
 #include "nn/optim.hpp"
+#include "nn/pool.hpp"
+#include "nn/simd.hpp"
 #include "predictors/mlp_predictor.hpp"
 #include "util/stats.hpp"
 
@@ -404,5 +409,179 @@ TEST(SharedWTrainerTest, SparseStepMatchesDenseReference) {
   EXPECT_TRUE(bits_equal(head.alpha()->value, ref_head.alpha()->value));
 }
 
+
+// ---- graph-free evaluation ----------------------------------------------
+
+/// The graph path every epoch evaluation ran before evaluate():
+/// forward_single_path, then the softmax-CE op and ops::accuracy.
+EvalResult graph_eval(const SurrogateSupernet& net, const nn::Dataset& data,
+                      const std::vector<std::size_t>& op_choice) {
+  const nn::VarPtr logits = net.forward_single_path(data.features, op_choice);
+  const nn::VarPtr loss = nn::ops::softmax_cross_entropy(logits, data.labels);
+  return {static_cast<double>(loss->value.item()),
+          nn::ops::accuracy(logits->value, data.labels)};
+}
+
+std::uint64_t double_bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Every ISA tier this host can run: scalar, then AVX2 and the opt-in
+/// FMA tier when compiled in and supported.
+std::vector<nn::simd::IsaLevel> host_isa_tiers() {
+  using nn::simd::IsaLevel;
+  std::vector<IsaLevel> tiers = {IsaLevel::kScalar};
+  if (!nn::simd::avx2_compiled()) return tiers;
+  for (const IsaLevel level : {IsaLevel::kAvx2, IsaLevel::kAvx2Fma}) {
+    if (nn::simd::cpu_supports(level)) tiers.push_back(level);
+  }
+  return tiers;
+}
+
+class SupernetEvaluateTest : public ::testing::Test {
+ protected:
+  SupernetEvaluateTest()
+      : space_(space::SearchSpace::fbnet_xavier()),
+        task_(nn::make_synthetic_task(task_config())),
+        net_(space_, task_.valid.feature_dim(), 10, SupernetConfig{}) {
+    // Biases start at zero; give them values so the bias adds are tested.
+    util::Rng rng(30);
+    for (const nn::VarPtr& p : net_.weight_parameters()) {
+      if (p->value.rows() == 1) {
+        p->value = nn::Tensor::randn(1, p->value.cols(), rng, 0.1f);
+      }
+    }
+  }
+
+  /// The default 2,048 validation rows, a small training split.
+  static nn::SyntheticTaskConfig task_config() {
+    nn::SyntheticTaskConfig config;
+    config.train_size = 256;
+    return config;
+  }
+
+  /// Seeded random paths plus the all-SkipConnect and all-widest ones.
+  std::vector<std::vector<std::size_t>> paths() const {
+    util::Rng rng(31);
+    std::vector<std::vector<std::size_t>> out;
+    for (int i = 0; i < 2; ++i) {
+      out.push_back(space_.random_architecture(rng).ops());
+    }
+    const space::OperatorSpace& ops = space_.ops();
+    out.push_back(space_.uniform_architecture(ops.skip_index()).ops());
+    out.push_back(space_.uniform_architecture(ops.mbconv_index(7, 6)).ops());
+    return out;
+  }
+
+  /// The first `rows` validation rows.
+  nn::Dataset first_rows(std::size_t rows) const {
+    std::vector<std::size_t> indices(rows);
+    for (std::size_t i = 0; i < rows; ++i) indices[i] = i;
+    return task_.valid.gather(indices);
+  }
+
+  space::SearchSpace space_;
+  nn::SyntheticTask task_;
+  SurrogateSupernet net_;
+};
+
+TEST_F(SupernetEvaluateTest, MatchesGraphPathBitForBit) {
+  const std::vector<std::vector<std::size_t>> all_paths = paths();
+  for (const std::size_t rows : {1, 7, 48, 2048}) {
+    const nn::Dataset data = first_rows(rows);
+    for (const nn::PoolMode mode :
+         {nn::PoolMode::kFresh, nn::PoolMode::kDisabled}) {
+      nn::PooledScope pool(mode);
+      for (const nn::simd::IsaLevel level : host_isa_tiers()) {
+        nn::simd::ScopedIsa isa(level);
+        for (std::size_t p = 0; p < all_paths.size(); ++p) {
+          SCOPED_TRACE("rows " + std::to_string(rows) + ", pool " +
+                       (mode == nn::PoolMode::kFresh ? "on" : "off") +
+                       ", isa " + nn::simd::isa_name(level) + ", path " +
+                       std::to_string(p));
+          const EvalResult want = graph_eval(net_, data, all_paths[p]);
+          const EvalResult got = net_.evaluate(data, all_paths[p]);
+          EXPECT_EQ(double_bits(got.loss), double_bits(want.loss));
+          EXPECT_EQ(got.accuracy, want.accuracy);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SupernetEvaluateTest, NanBlockWeightGivesNanLossOnBothPaths) {
+  const std::vector<std::size_t> path =
+      space_.uniform_architecture(0).ops();
+  bool planted = false;
+  for (const nn::VarPtr& p : net_.weight_parameters()) {
+    if (p->name != "supernet.l5.k0.fc1.W") continue;
+    p->value[0] = std::numeric_limits<float>::quiet_NaN();
+    planted = true;
+  }
+  ASSERT_TRUE(planted);
+  const nn::Dataset data = first_rows(48);
+  const EvalResult want = graph_eval(net_, data, path);
+  const EvalResult got = net_.evaluate(data, path);
+  EXPECT_TRUE(std::isnan(want.loss));
+  EXPECT_TRUE(std::isnan(got.loss));
+  EXPECT_EQ(got.accuracy, want.accuracy);
+}
+
+TEST_F(SupernetEvaluateTest, BuildsNoGraphAndIsThreadSafe) {
+  const std::vector<std::vector<std::size_t>> all_paths = paths();
+  const nn::Dataset data = first_rows(256);
+  // Sentinel gradients: evaluation must neither write nor reshape them.
+  const std::vector<nn::VarPtr> weights = net_.weight_parameters();
+  for (const nn::VarPtr& w : weights) {
+    w->ensure_grad();
+    w->grad.fill(0.5f);
+  }
+
+  std::vector<EvalResult> serial;
+  {
+    nn::PooledScope pool(nn::PoolMode::kFresh);
+    const nn::PoolStats before = pool.pool().stats();
+    for (const std::vector<std::size_t>& path : all_paths) {
+      serial.push_back(net_.evaluate(data, path));
+    }
+    const nn::PoolStats delta = pool.pool().stats() - before;
+    EXPECT_EQ(delta.node_hits + delta.node_misses, 0u);
+    // The graph path, by contrast, acquires a node per op.
+    graph_eval(net_, data, all_paths.front());
+    const nn::PoolStats graph = pool.pool().stats() - before;
+    EXPECT_GT(graph.node_hits + graph.node_misses, 0u);
+  }
+  for (const nn::VarPtr& w : weights) {
+    ASSERT_TRUE(bits_equal(w->grad, nn::Tensor::full(w->value.rows(),
+                                                      w->value.cols(), 0.5f)))
+        << w->name;
+  }
+
+  // Four threads evaluating the one supernet at once, each under its
+  // own pool, reproduce the serial bits.
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<EvalResult>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      nn::PooledScope pool(nn::PoolMode::kFresh);
+      for (std::size_t i = 0; i < all_paths.size(); ++i) {
+        const std::size_t p = (i + t) % all_paths.size();
+        got[t].push_back(net_.evaluate(data, all_paths[p]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < all_paths.size(); ++i) {
+      const std::size_t p = (i + t) % all_paths.size();
+      EXPECT_EQ(double_bits(got[t][i].loss), double_bits(serial[p].loss))
+          << "thread " << t << ", path " << p;
+      EXPECT_EQ(got[t][i].accuracy, serial[p].accuracy);
+    }
+  }
+}
 }  // namespace
 }  // namespace lightnas::core
