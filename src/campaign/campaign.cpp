@@ -6,7 +6,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/gumbel.hpp"
 #include "core/search_step.hpp"
 #include "nn/parallel.hpp"
 #include "nn/pool.hpp"
@@ -20,16 +19,9 @@ namespace {
   throw std::invalid_argument("CampaignConfig: " + message);
 }
 
-bool tensor_finite(const nn::Tensor& t) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!std::isfinite(t[i])) return false;
-  }
-  return true;
-}
-
 /// One target's live state inside a running campaign. Heap-allocated:
-/// the Batcher holds a reference to this job's valid_rng, so addresses
-/// must be stable.
+/// the Batcher holds a reference to this job's valid_rng and `lane`
+/// points at the head and both streams, so addresses must be stable.
 struct Job {
   Job(std::size_t id_, double target_, const core::SearchTopology& topology,
       const std::vector<core::Constraint>& constraints,
@@ -40,7 +32,8 @@ struct Job {
         head(topology, constraints, search),
         path_rng(path_rng_),
         valid_rng(valid_rng_),
-        valid_batches(valid_data, search.batch_size, valid_rng) {}
+        valid_batches(valid_data, search.batch_size, valid_rng),
+        lane(head, path_rng, valid_batches) {}
 
   std::size_t id;
   double target;
@@ -49,11 +42,10 @@ struct Job {
   util::Rng path_rng;
   util::Rng valid_rng;
   nn::Batcher valid_batches;
+  /// The job's epoch record: cooldown, tau floor, trace, alpha updates.
+  /// Per job, since one target may diverge while the rest stay healthy.
+  core::EpochHead lane;
 
-  // Watchdog / cooldown state (per job: one target may diverge while
-  // the rest of the campaign stays healthy).
-  double cooldown_scale = 1.0;
-  double tau_floor = 0.0;
   std::size_t rollbacks = 0;
   std::vector<core::WatchdogEvent> events;
   /// Head state at the end of the last healthy epoch — the rollback
@@ -61,17 +53,10 @@ struct Job {
   /// moved on (other jobs trained them), so only this job's (alpha,
   /// Adam, lambda) rewinds; the epoch is not re-run.
   std::optional<core::AlphaLambdaHead::State> last_good;
-  double best_accuracy = 0.0;
 
   // Convergence bookkeeping.
   std::size_t tolerance_streak = 0;
   std::size_t converged_epoch = 0;
-  std::size_t alpha_updates = 0;
-  std::vector<core::SearchEpochStats> trace;
-
-  // Epoch-scratch: sampled-cost telemetry accumulated by alpha steps.
-  double sampled_cost_sum = 0.0;
-  std::size_t sampled_cost_count = 0;
 
   bool steps(bool preempt_converged) const {
     if (state == JobState::kPending || state == JobState::kRunning) {
@@ -158,11 +143,13 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
   util::Rng rng(search.seed * 0x9e3779b9ULL + 29);
   core::SharedWTrainer trainer(topology, *task_, supernet_config_, search,
                                search.epochs * search.w_steps_per_epoch);
-  const core::TemperatureSchedule tau_schedule(
-      search.tau_initial, search.tau_final, search.epochs);
 
   util::Rng data_rng = rng.fork();
   nn::Batcher train_batches(task_->train, search.batch_size, data_rng);
+  const core::TemperatureSchedule tau_schedule(
+      search.tau_initial, search.tau_final, search.epochs);
+  core::EpochRunner runner{search, tau_schedule, trainer, train_batches,
+                           task_->valid};
 
   // Per-job heads, RNG streams, and validation batchers. Fork order is
   // part of the campaign's deterministic fingerprint: shared data stream
@@ -206,14 +193,14 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
       jck.path_rng = job->path_rng.state();
       jck.valid_rng = job->valid_rng.state();
       jck.valid_batcher = job->valid_batches.export_state();
-      jck.cooldown_scale = job->cooldown_scale;
-      jck.tau_floor = job->tau_floor;
+      jck.cooldown_scale = job->lane.cooldown_scale;
+      jck.tau_floor = job->lane.tau_floor;
       jck.rollbacks = job->rollbacks;
       jck.events = job->events;
       jck.tolerance_streak = job->tolerance_streak;
       jck.converged_epoch = job->converged_epoch;
-      jck.alpha_updates = job->alpha_updates;
-      jck.trace = job->trace;
+      jck.alpha_updates = job->lane.alpha_updates;
+      jck.trace = job->lane.trace;
       ck.jobs.push_back(std::move(jck));
     }
     return ck;
@@ -245,9 +232,8 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
       job.state = jck.state;
       job.head.restore_state(
           {jck.alpha, jck.adam_m, jck.adam_v, jck.adam_t, jck.lambdas});
-      job.cooldown_scale = jck.cooldown_scale;
-      job.tau_floor = jck.tau_floor;
-      job.head.set_cooldown_scale(job.cooldown_scale);
+      job.lane.restore(jck.cooldown_scale, jck.tau_floor, jck.alpha_updates,
+                       jck.trace);
       job.path_rng.set_state(jck.path_rng);
       job.valid_rng.set_state(jck.valid_rng);
       job.valid_batches.restore_state(jck.valid_batcher);
@@ -255,16 +241,9 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
       job.events = jck.events;
       job.tolerance_streak = jck.tolerance_streak;
       job.converged_epoch = jck.converged_epoch;
-      job.alpha_updates = jck.alpha_updates;
-      job.trace = jck.trace;
       // Snapshots are taken at epoch boundaries, where the in-memory
       // rollback point coincides with the live head — reconstruct it.
       job.last_good = job.head.export_state();
-      job.best_accuracy = 0.0;
-      for (const core::SearchEpochStats& stats : job.trace) {
-        job.best_accuracy = std::max(job.best_accuracy,
-                                     stats.valid_accuracy);
-      }
     }
   };
 
@@ -281,114 +260,33 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
   for (std::size_t epoch = start_epoch; epoch < search.epochs; ++epoch) {
     // The schedule: every job still stepping this epoch, in id order.
     std::vector<Job*> active;
+    std::vector<core::EpochHead*> heads;
     for (const std::unique_ptr<Job>& job : jobs) {
-      if (job->steps(config_.preempt_converged)) active.push_back(job.get());
+      if (!job->steps(config_.preempt_converged)) continue;
+      if (job->state == JobState::kPending) job->state = JobState::kRunning;
+      active.push_back(job.get());
+      heads.push_back(&job->lane);
     }
     if (active.empty()) break;
-    for (Job* job : active) {
-      if (job->state == JobState::kPending) job->state = JobState::kRunning;
-      job->sampled_cost_sum = 0.0;
-      job->sampled_cost_count = 0;
-    }
 
-    // ---- shared-w phase: ONE weight update per step ---------------------
-    // The path is sampled from the active jobs round-robin, so the
-    // shared weights stay trained in every target's preferred region of
-    // the space, at the cost of a single search's w budget.
-    for (std::size_t step = 0; step < search.w_steps_per_epoch; ++step) {
-      const nn::Dataset batch = train_batches.next();
-      Job& driver = *active[step % active.size()];
-      const double tau =
-          std::max(tau_schedule.at(epoch), driver.tau_floor);
-      const core::PathSample sample =
-          driver.head.sample(tau, driver.path_rng);
-      trainer.step(batch, sample.op_choice);
-      ++result.weight_updates;
-    }
-
-    // ---- per-target alpha/lambda phase ---------------------------------
-    // Heads are independent, but every alpha backward traverses the
-    // shared supernet's gradient buffers, so jobs step serially in id
-    // order on the calling thread.
-    if (epoch >= search.warmup_epochs) {
-      for (Job* job_ptr : active) {
-        Job& job = *job_ptr;
-        const double tau = std::max(tau_schedule.at(epoch), job.tau_floor);
-        for (std::size_t step = 0; step < search.alpha_steps_per_epoch;
-             ++step) {
-          const nn::Dataset batch = job.valid_batches.next();
-          job.sampled_cost_sum += job.head.alpha_step(
-              trainer.supernet(), trainer.weight_parameters(), batch, tau,
-              job.path_rng);
-          ++job.sampled_cost_count;
-          ++job.alpha_updates;
-        }
-      }
-    }
-
-    // ---- epoch-end evaluation, multiplexed across jobs ------------------
-    // Read-only over the shared weights and each job's own head, one
-    // output slot per job — deterministic for any thread count, and the
-    // only campaign phase where job-level parallelism is free.
-    std::vector<core::SearchEpochStats> epoch_stats(active.size());
-    nn::ParallelContext::current().for_rows(
-        active.size(), [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            Job& job = *active[i];
-            core::SearchEpochStats stats;
-            stats.epoch = epoch;
-            stats.tau = std::max(tau_schedule.at(epoch), job.tau_floor);
-            stats.derived = job.head.derive();
-            stats.lambdas = job.head.lambda_values();
-            stats.predicted_costs = {predictor_->predict(stats.derived)};
-            stats.lambda = stats.lambdas.front();
-            stats.predicted_cost = stats.predicted_costs.front();
-            stats.sampled_cost_mean =
-                job.sampled_cost_count > 0
-                    ? job.sampled_cost_sum /
-                          static_cast<double>(job.sampled_cost_count)
-                    : stats.predicted_cost;
-            const core::EvalResult eval = trainer.supernet().evaluate(
-                task_->valid, stats.derived.ops());
-            stats.valid_loss = eval.loss;
-            stats.valid_accuracy = eval.accuracy;
-            epoch_stats[i] = std::move(stats);
-          }
-        });
+    // One shared-w phase (paths round-robin over the active jobs), each
+    // active head's alpha phase, and the per-job evaluation spread over
+    // the scope's lanes.
+    std::vector<core::SearchEpochStats> epoch_stats =
+        runner.run(epoch, heads);
+    result.weight_updates += search.w_steps_per_epoch;
 
     // ---- per-job watchdog + lifecycle (serial, id order) ----------------
     for (std::size_t i = 0; i < active.size(); ++i) {
       Job& job = *active[i];
-      core::SearchEpochStats& stats = epoch_stats[i];
-
-      std::string unhealthy;
-      if (watchdog.enabled) {
-        if (!std::isfinite(stats.valid_loss)) {
-          unhealthy = "non-finite validation loss";
-        } else if (!tensor_finite(job.head.alpha()->value)) {
-          unhealthy = "non-finite alpha";
-        } else if (!std::isfinite(stats.lambda) ||
-                   std::abs(stats.lambda) > watchdog.lambda_limit) {
-          unhealthy =
-              "runaway lambda (value " + std::to_string(stats.lambda) + ")";
-        } else if (!std::isfinite(stats.predicted_cost)) {
-          unhealthy = "non-finite predicted cost";
-        } else if (job.best_accuracy >= watchdog.min_reference_accuracy &&
-                   stats.valid_accuracy <
-                       watchdog.accuracy_collapse_frac *
-                           job.best_accuracy) {
-          unhealthy = "accuracy collapse (" +
-                      std::to_string(stats.valid_accuracy) + " vs best " +
-                      std::to_string(job.best_accuracy) + ")";
-        }
-      }
-
+      const std::string unhealthy =
+          core::watchdog_verdict(watchdog, epoch_stats[i],
+                                 job.head.alpha()->value,
+                                 job.lane.best_accuracy);
       if (!unhealthy.empty()) {
-        core::WatchdogEvent event;
-        event.epoch = epoch;
-        event.reason = unhealthy;
-        event.rolled_back =
-            job.rollbacks < watchdog.max_rollbacks && job.last_good;
+        core::WatchdogEvent event{
+            epoch, unhealthy,
+            job.rollbacks < watchdog.max_rollbacks && job.last_good};
         if (search.log_progress) {
           util::log_info() << "campaign job " << job.id << " (target "
                            << job.target << "): watchdog: " << unhealthy
@@ -403,26 +301,19 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
           // weights (which other jobs have moved on); the unhealthy
           // epoch's stats are discarded from this job's trace.
           ++job.rollbacks;
-          job.cooldown_scale *= watchdog.cooldown_factor;
-          job.head.set_cooldown_scale(job.cooldown_scale);
-          job.tau_floor =
-              std::max(job.tau_floor, tau_schedule.at(epoch));
+          job.lane.cool_down(watchdog.cooldown_factor,
+                             tau_schedule.at(epoch));
           job.tolerance_streak = 0;
-          job.events.push_back(std::move(event));
         } else {
-          job.events.push_back(std::move(event));
           job.state = JobState::kDiverged;
         }
+        job.events.push_back(std::move(event));
         continue;
       }
 
       // Healthy epoch: record, decay the tau floor, track convergence.
-      job.trace.push_back(std::move(stats));
-      const core::SearchEpochStats& recorded = job.trace.back();
-      job.best_accuracy =
-          std::max(job.best_accuracy, recorded.valid_accuracy);
-      job.tau_floor *= 0.8;
-      if (job.tau_floor < search.tau_final) job.tau_floor = 0.0;
+      job.lane.record_healthy(std::move(epoch_stats[i]), search.tau_final);
+      const core::SearchEpochStats& recorded = job.lane.trace.back();
       if (epoch >= search.warmup_epochs) {
         const double gap =
             std::abs(recorded.predicted_cost - job.target) / job.target;
@@ -472,20 +363,25 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
   util::ParetoFront front;
   for (const std::unique_ptr<Job>& job_ptr : jobs) {
     Job& job = *job_ptr;
+    const std::vector<core::SearchEpochStats>& trace = job.lane.trace;
+    const std::vector<core::Constraint>& constraints =
+        job.head.constraints();
     JobResult report;
     report.job_id = job.id;
     report.target = job.target;
-    report.alpha_updates = job.alpha_updates;
+    report.alpha_updates = job.lane.alpha_updates;
     report.rollbacks = job.rollbacks;
     report.events = job.events;
-    report.trace = job.trace;
+    report.trace = trace;
     report.converged_epoch = job.converged_epoch;
-    result.alpha_updates += job.alpha_updates;
+    result.alpha_updates += job.lane.alpha_updates;
 
-    if (job.trace.empty()) {
+    if (trace.empty()) {
       // Never completed a healthy epoch (interrupted before the first
-      // boundary, or diverged immediately): report the live head.
-      report.state = JobState::kPreempted;
+      // boundary, or diverged with no rollback point): report the live
+      // head. A diverged job stays diverged.
+      report.state = job.state == JobState::kDiverged ? JobState::kDiverged
+                                                      : JobState::kPreempted;
       report.architecture = job.head.derive();
       report.predicted_cost = predictor_->predict(report.architecture);
       report.gap =
@@ -495,31 +391,16 @@ CampaignResult CampaignOrchestrator::run(const CampaignHooks& hooks) {
       continue;
     }
 
-    // Same guard as the single-target engine: pick the derived snapshot
-    // from the last quarter of this job's trace whose predicted cost is
-    // closest to the target, instead of trusting the very last epoch.
-    const std::size_t window_start =
-        job.trace.size() -
-        std::max<std::size_t>(1, job.trace.size() / 4);
-    std::size_t best_idx = job.trace.size() - 1;
-    double best_gap =
-        std::abs(job.trace[best_idx].predicted_cost - job.target) /
-        job.target;
-    for (std::size_t i = window_start; i < job.trace.size(); ++i) {
-      const double gap =
-          std::abs(job.trace[i].predicted_cost - job.target) / job.target;
-      if (gap < best_gap) {
-        best_gap = gap;
-        best_idx = i;
-      }
-    }
-    const core::SearchEpochStats& chosen = job.trace[best_idx];
+    // Same guard as the single-target engine: the snapshot from the last
+    // quarter of this job's trace closest to the target.
+    const core::SearchEpochStats& chosen =
+        trace[core::select_snapshot(trace, constraints, false)];
     report.architecture = chosen.derived;
     report.predicted_cost = chosen.predicted_cost;
     report.valid_accuracy = chosen.valid_accuracy;
     report.final_lambda = chosen.lambda;
-    report.gap = best_gap;
-    report.within_tolerance = best_gap <= config_.tolerance;
+    report.gap = std::abs(report.predicted_cost - job.target) / job.target;
+    report.within_tolerance = report.gap <= config_.tolerance;
 
     // Final state: converged/diverged stick; a job still running at the
     // end of the budget either landed in tolerance (converged, just

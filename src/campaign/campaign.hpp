@@ -43,7 +43,8 @@ enum class JobState {
   /// alpha steps when `preempt_converged` is set.
   kConverged,
   /// The per-job watchdog exhausted its rollback budget; the job is
-  /// frozen at its last healthy head state.
+  /// frozen at its last healthy head state (a job that diverged before
+  /// any healthy epoch has none and reports its live head).
   kDiverged,
   /// Removed from the schedule before converging: either the campaign
   /// was interrupted / ran out of epochs, or a converged job was

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -19,13 +18,6 @@ namespace {
 
 [[noreturn]] void config_error(const std::string& message) {
   throw std::invalid_argument("LightNasConfig: " + message);
-}
-
-bool tensor_finite(const nn::Tensor& t) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!std::isfinite(t[i])) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -140,8 +132,9 @@ SearchResult LightNas::search() { return search(SearchHooks{}); }
 
 SearchResult LightNas::search(const SearchHooks& hooks) {
   // Memory-reuse layer: buffers and Var nodes recycle through the
-  // active TensorPool (inherited from the caller when one is installed). Pure buffer recycling — the trajectory is
-  // bit-identical with pooling on or off.
+  // active TensorPool (inherited from the caller when one is installed).
+  // Pure buffer recycling — the trajectory is bit-identical with pooling
+  // on or off.
   nn::PooledScope pool_scope(config_.pool_tensors ? nn::PoolMode::kInherit
                                                   : nn::PoolMode::kDisabled);
   const nn::PoolStats pool_start = config_.pool_tensors
@@ -150,9 +143,8 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
 
   const std::size_t num_constraints = constraints_.size();
 
-  // The search loop is assembled from the reusable pieces in
-  // search_step.hpp — the same ones the campaign orchestrator
-  // (src/campaign) multiplexes K heads over. Here: one trainer, one head.
+  // The epoch body is the one in search_step.hpp that the campaign
+  // orchestrator (src/campaign) also runs, here over a single head.
   const SearchTopology topology(*space_);
 
   util::Rng rng(config_.seed * 0x9e3779b9ULL + 17);
@@ -167,13 +159,12 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
   nn::Batcher train_batches(task_->train, config_.batch_size, data_rng);
   util::Rng valid_rng = rng.fork();
   nn::Batcher valid_batches(task_->valid, config_.batch_size, valid_rng);
+  EpochRunner runner{config_, tau_schedule, trainer, train_batches,
+                     task_->valid};
+  // The root stream doubles as the only head's path stream.
+  EpochHead lane(head, rng, valid_batches);
 
   SearchResult result;
-  // Watchdog cooldown state: rollbacks shrink the alpha/lambda step
-  // sizes by cooldown_factor and can hold tau above its schedule for a
-  // few epochs (tau_floor decays back towards zero).
-  double cooldown_scale = 1.0;
-  double tau_floor = 0.0;
 
   // --- checkpoint capture / restore -----------------------------------
   // The same snapshot structure backs on-disk checkpoints and the
@@ -197,16 +188,16 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
     ck.adam_v = std::move(head_state.adam_v);
     ck.adam_t = head_state.adam_t;
     ck.lambdas = std::move(head_state.lambdas);
-    ck.cooldown_scale = cooldown_scale;
-    ck.tau_floor = tau_floor;
+    ck.cooldown_scale = lane.cooldown_scale;
+    ck.tau_floor = lane.tau_floor;
     ck.rng = rng.state();
     ck.data_rng = data_rng.state();
     ck.valid_rng = valid_rng.state();
     ck.train_batcher = train_batches.export_state();
     ck.valid_batcher = valid_batches.export_state();
-    ck.trace = result.trace;
+    ck.trace = lane.trace;
     ck.weight_updates = result.weight_updates;
-    ck.alpha_updates = result.alpha_updates;
+    ck.alpha_updates = lane.alpha_updates;
     ck.health = result.health;
     return ck;
   };
@@ -238,17 +229,14 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
     }
     head.restore_state({ck.alpha, ck.adam_m, ck.adam_v, ck.adam_t,
                         ck.lambdas});
-    cooldown_scale = ck.cooldown_scale;
-    tau_floor = ck.tau_floor;
-    head.set_cooldown_scale(cooldown_scale);
+    lane.restore(ck.cooldown_scale, ck.tau_floor, ck.alpha_updates,
+                 ck.trace);
     rng.set_state(ck.rng);
     data_rng.set_state(ck.data_rng);
     valid_rng.set_state(ck.valid_rng);
     train_batches.restore_state(ck.train_batcher);
     valid_batches.restore_state(ck.valid_batcher);
-    result.trace = ck.trace;
     result.weight_updates = ck.weight_updates;
-    result.alpha_updates = ck.alpha_updates;
     result.health = ck.health;
   };
 
@@ -264,58 +252,11 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
   // epoch. Seeded from the resume snapshot when there is one.
   std::optional<SearchCheckpoint> last_good;
   if (hooks.resume != nullptr) last_good = *hooks.resume;
-  double best_accuracy = 0.0;
-  for (const SearchEpochStats& stats : result.trace) {
-    best_accuracy = std::max(best_accuracy, stats.valid_accuracy);
-  }
 
   std::size_t epoch = start_epoch;
   while (epoch < config_.epochs) {
-    const double tau = std::max(tau_schedule.at(epoch), tau_floor);
-    double sampled_cost_sum = 0.0;
-    std::size_t sampled_cost_count = 0;
-
-    // ---- training phase: update w on sampled single paths -------------
-    for (std::size_t step = 0; step < config_.w_steps_per_epoch; ++step) {
-      const nn::Dataset batch = train_batches.next();
-      const PathSample sample = head.sample(tau, rng);
-      trainer.step(batch, sample.op_choice);
-      ++result.weight_updates;
-    }
-
-    // ---- validation phase: update alpha and lambdas --------------------
-    if (epoch >= config_.warmup_epochs) {
-      for (std::size_t step = 0; step < config_.alpha_steps_per_epoch;
-           ++step) {
-        const nn::Dataset batch = valid_batches.next();
-        sampled_cost_sum += head.alpha_step(
-            trainer.supernet(), trainer.weight_parameters(), batch, tau,
-            rng);
-        ++sampled_cost_count;
-        ++result.alpha_updates;
-      }
-    }
-
-    // ---- telemetry ------------------------------------------------------
-    SearchEpochStats stats;
-    stats.epoch = epoch;
-    stats.tau = tau;
-    stats.derived = head.derive();
-    stats.lambdas = head.lambda_values();
-    for (std::size_t c = 0; c < num_constraints; ++c) {
-      stats.predicted_costs.push_back(
-          constraints_[c].predictor->predict(stats.derived));
-    }
-    stats.lambda = stats.lambdas.front();
-    stats.predicted_cost = stats.predicted_costs.front();
-    stats.sampled_cost_mean =
-        sampled_cost_count > 0
-            ? sampled_cost_sum / static_cast<double>(sampled_cost_count)
-            : stats.predicted_cost;
-    const EvalResult eval =
-        trainer.supernet().evaluate(task_->valid, stats.derived.ops());
-    stats.valid_loss = eval.loss;
-    stats.valid_accuracy = eval.accuracy;
+    SearchEpochStats stats = std::move(runner.run(epoch, {&lane}).front());
+    result.weight_updates += config_.w_steps_per_epoch;
     if (config_.log_progress) {
       util::log_info() << "epoch " << epoch << " tau=" << stats.tau
                        << " lambda=" << stats.lambda << " cost="
@@ -324,44 +265,13 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
                        << stats.valid_accuracy;
     }
 
-    // ---- divergence watchdog -------------------------------------------
-    std::string unhealthy;
-    if (config_.watchdog.enabled) {
-      if (!std::isfinite(stats.valid_loss)) {
-        unhealthy = "non-finite validation loss";
-      } else if (!tensor_finite(head.alpha()->value)) {
-        unhealthy = "non-finite alpha";
-      } else {
-        for (std::size_t c = 0; c < num_constraints && unhealthy.empty();
-             ++c) {
-          if (!std::isfinite(stats.lambdas[c]) ||
-              std::abs(stats.lambdas[c]) >
-                  config_.watchdog.lambda_limit) {
-            unhealthy = "runaway lambda (constraint " + std::to_string(c) +
-                        ", value " + std::to_string(stats.lambdas[c]) + ")";
-          } else if (!std::isfinite(stats.predicted_costs[c])) {
-            unhealthy = "non-finite predicted cost (constraint " +
-                        std::to_string(c) + ")";
-          }
-        }
-        if (unhealthy.empty() &&
-            best_accuracy >= config_.watchdog.min_reference_accuracy &&
-            stats.valid_accuracy <
-                config_.watchdog.accuracy_collapse_frac * best_accuracy) {
-          unhealthy = "accuracy collapse (" +
-                      std::to_string(stats.valid_accuracy) + " vs best " +
-                      std::to_string(best_accuracy) + ")";
-        }
-      }
-    }
-
+    const std::string unhealthy = watchdog_verdict(
+        config_.watchdog, stats, head.alpha()->value, lane.best_accuracy);
     if (!unhealthy.empty()) {
-      WatchdogEvent event;
-      event.epoch = epoch;
-      event.reason = unhealthy;
-      event.rolled_back = result.health.rollbacks <
-                              config_.watchdog.max_rollbacks &&
-                          last_good.has_value();
+      WatchdogEvent event{epoch, unhealthy,
+                          result.health.rollbacks <
+                                  config_.watchdog.max_rollbacks &&
+                              last_good.has_value()};
       if (config_.log_progress) {
         util::log_info() << "watchdog: " << unhealthy << " at epoch "
                          << epoch
@@ -373,29 +283,22 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
         result.health.aborted_early = true;
         break;
       }
-      // Roll back to the last healthy epoch, keeping the health record
-      // accumulated so far, and retry with cooled-down step sizes.
+      // Full rollback to the last healthy epoch, keeping the health
+      // record accumulated so far, and retry with cooled-down step sizes.
       RunHealth health = result.health;
       health.events.push_back(std::move(event));
       ++health.rollbacks;
       restore(*last_good);
       result.health = std::move(health);
-      cooldown_scale *= config_.watchdog.cooldown_factor;
-      head.set_cooldown_scale(cooldown_scale);
-      // Hold the temperature near its value at the rollback point so the
-      // retry explores more softly; the floor decays on healthy epochs.
-      tau_floor = std::max(tau_floor, tau_schedule.at(epoch));
+      lane.cool_down(config_.watchdog.cooldown_factor,
+                     tau_schedule.at(epoch));
       epoch = last_good->next_epoch;
       continue;
     }
 
-    result.trace.push_back(std::move(stats));
-    best_accuracy =
-        std::max(best_accuracy, result.trace.back().valid_accuracy);
-    tau_floor *= 0.8;
-    if (tau_floor < config_.tau_final) tau_floor = 0.0;
+    lane.record_healthy(std::move(stats), config_.tau_final);
     ++epoch;
-    result.health.completed_epochs = result.trace.size();
+    result.health.completed_epochs = lane.trace.size();
     last_good = capture(epoch);
 
     if (hooks.on_checkpoint &&
@@ -410,41 +313,17 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
     }
   }
 
-  // Worst-case relative constraint gap of an epoch snapshot.
-  auto gap_of = [&](const std::vector<double>& costs) {
-    double worst = 0.0;
-    for (std::size_t c = 0; c < num_constraints; ++c) {
-      worst = std::max(worst,
-                       std::abs(costs[c] - constraints_[c].target) /
-                           constraints_[c].target);
-    }
-    return worst;
-  };
-
+  result.trace = std::move(lane.trace);
+  result.alpha_updates = lane.alpha_updates;
+  // Without an abort the live head is the last snapshot; an aborted
+  // run's live alpha may be the diverged state itself, so selection
+  // never returns it.
   result.architecture = head.derive();
   if (config_.select_best_from_trace && !result.trace.empty()) {
-    const std::size_t window_start =
-        result.trace.size() - std::max<std::size_t>(
-                                  1, result.trace.size() / 4);
-    std::vector<double> final_costs;
-    for (const Constraint& constraint : constraints_) {
-      final_costs.push_back(constraint.predictor->predict(
-          result.architecture));
-    }
-    double best_gap = gap_of(final_costs);
-    // An aborted run's live alpha may be the diverged state itself;
-    // never let it win over the trace in that case.
-    if (result.health.aborted_early) {
-      best_gap = std::numeric_limits<double>::infinity();
-      result.architecture = result.trace.back().derived;
-    }
-    for (std::size_t i = window_start; i < result.trace.size(); ++i) {
-      const double gap = gap_of(result.trace[i].predicted_costs);
-      if (gap < best_gap) {
-        best_gap = gap;
-        result.architecture = result.trace[i].derived;
-      }
-    }
+    result.architecture =
+        result.trace[select_snapshot(result.trace, constraints_,
+                                     result.health.aborted_early)]
+            .derived;
   }
   result.health.completed_epochs = result.trace.size();
   const std::vector<double> live_lambdas = head.lambda_values();

@@ -100,10 +100,10 @@ struct LightNasConfig {
 
   /// Lanes for a campaign's per-job phases (today the epoch-end
   /// evaluation, one job per lane via for_rows); null is serial. A
-  /// single-target search does not read it, and tensor kernels always
-  /// run serially on the calling thread. Campaign results and
-  /// checkpoints are bit-identical for every lane count, so a
-  /// checkpoint resumes exactly under any --threads setting.
+  /// single-target search does not read it: its one head evaluates on
+  /// the calling thread, and tensor kernels always run serially there.
+  /// Campaign results and checkpoints are bit-identical for every lane
+  /// count, so a checkpoint resumes exactly under any --threads setting.
   const nn::ParallelContext* parallel = nullptr;
 
   /// Recycle tensor buffers and autograd nodes through a nn::TensorPool

@@ -1,10 +1,13 @@
 #include "core/search_step.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "nn/ops.hpp"
+#include "nn/parallel.hpp"
 #include "util/check.hpp"
 
 namespace lightnas::core {
@@ -23,6 +26,29 @@ std::size_t infer_num_classes(const nn::SyntheticTask& task) {
              ? 10
              : 1 + *std::max_element(task.train.labels.begin(),
                                      task.train.labels.end());
+}
+
+/// Worst relative constraint gap; +inf when a cost is missing or
+/// non-finite.
+double constraint_gap(const std::vector<double>& costs,
+                      const std::vector<Constraint>& constraints) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double worst = 0.0;
+  for (std::size_t c = 0; c < constraints.size(); ++c) {
+    if (c >= costs.size()) return kInf;
+    const double gap =
+        std::abs(costs[c] - constraints[c].target) / constraints[c].target;
+    if (!std::isfinite(gap)) return kInf;
+    worst = std::max(worst, gap);
+  }
+  return worst;
+}
+
+bool tensor_finite(const nn::Tensor& t) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (!std::isfinite(t[i])) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -179,28 +205,21 @@ double AlphaLambdaHead::alpha_step(
     const SurrogateSupernet& supernet,
     const std::vector<nn::VarPtr>& weight_params, const nn::Dataset& batch,
     double tau, util::Rng& rng) {
-  const std::size_t num_layers = topology_->num_layers();
   const std::vector<std::size_t>& searchable =
       topology_->searchable_layers();
   const std::vector<Constraint>& constraints = *constraints_;
 
-  const nn::VarPtr p_hat = nn::ops::row_softmax(nn::ops::scale(
-      nn::ops::add(alpha_, nn::make_const(gumbel_noise(
-                               searchable.size(), topology_->num_ops(),
-                               rng))),
-      1.0 / tau));
-
   // Sampled path + GDAS gates so d(CE)/d(alpha) exists (Eq 12).
-  std::vector<std::size_t> op_choice(num_layers, 0);
-  std::vector<nn::VarPtr> gates(num_layers, nullptr);
+  const PathSample sample = topology_->sample_path(alpha_, tau, rng);
+  const nn::VarPtr& p_hat = sample.p_hat;
+  std::vector<nn::VarPtr> gates(topology_->num_layers(), nullptr);
   for (std::size_t s = 0; s < searchable.size(); ++s) {
-    const std::size_t j = p_hat->value.argmax_row(s);
-    op_choice[searchable[s]] = j;
-    gates[searchable[s]] = hard_gate(nn::ops::select(p_hat, s, j));
+    gates[searchable[s]] = hard_gate(
+        nn::ops::select(p_hat, s, sample.op_choice[searchable[s]]));
   }
 
   const nn::VarPtr logits =
-      supernet.forward_single_path(batch.features, op_choice, gates);
+      supernet.forward_single_path(batch.features, sample.op_choice, gates);
   nn::VarPtr loss = nn::ops::softmax_cross_entropy(logits, batch.labels);
 
   // Differentiable cost of the binarized architecture (Eq 9 + 12), one
@@ -286,6 +305,146 @@ void AlphaLambdaHead::restore_state(const State& state) {
   for (std::size_t c = 0; c < lambdas_.size(); ++c) {
     lambdas_[c].reset(state.lambdas[c]);
   }
+}
+
+// -------------------------------------------------------------- epoch head
+
+void EpochHead::record_healthy(SearchEpochStats stats, double tau_final) {
+  trace.push_back(std::move(stats));
+  best_accuracy = std::max(best_accuracy, trace.back().valid_accuracy);
+  tau_floor *= 0.8;
+  if (tau_floor < tau_final) tau_floor = 0.0;
+}
+
+void EpochHead::cool_down(double factor, double tau_now) {
+  cooldown_scale *= factor;
+  head->set_cooldown_scale(cooldown_scale);
+  tau_floor = std::max(tau_floor, tau_now);
+}
+
+void EpochHead::restore(double scale, double floor, std::size_t updates,
+                        std::vector<SearchEpochStats> snapshot_trace) {
+  cooldown_scale = scale;
+  tau_floor = floor;
+  head->set_cooldown_scale(cooldown_scale);
+  alpha_updates = updates;
+  trace = std::move(snapshot_trace);
+  best_accuracy = 0.0;
+  for (const SearchEpochStats& stats : trace) {
+    best_accuracy = std::max(best_accuracy, stats.valid_accuracy);
+  }
+}
+
+// ------------------------------------------------------------ epoch runner
+
+std::vector<SearchEpochStats> EpochRunner::run(
+    std::size_t epoch, const std::vector<EpochHead*>& heads) {
+  const auto tau = [&](const EpochHead& head) {
+    return std::max(tau_schedule.at(epoch), head.tau_floor);
+  };
+
+  // ---- w-phase: ONE shared-weight update per step ----------------------
+  // Round-robin over the heads keeps the shared weights trained in every
+  // target's preferred region of the space, at one search's w budget.
+  for (std::size_t step = 0; step < config.w_steps_per_epoch; ++step) {
+    const nn::Dataset batch = train_batches.next();
+    const EpochHead& source = *heads[step % heads.size()];
+    trainer.step(batch,
+                 source.head->sample(tau(source), *source.path_rng).op_choice);
+  }
+
+  // ---- alpha-phase: each head on its own validation batches ------------
+  // Every alpha backward traverses the shared supernet's gradient
+  // buffers, so heads step serially, in order, on the calling thread.
+  std::vector<double> sampled_cost_sum(heads.size(), 0.0);
+  const std::size_t alpha_steps =
+      epoch >= config.warmup_epochs ? config.alpha_steps_per_epoch : 0;
+  for (std::size_t i = 0; i < heads.size(); ++i) {
+    EpochHead& head = *heads[i];
+    for (std::size_t step = 0; step < alpha_steps; ++step) {
+      sampled_cost_sum[i] += head.head->alpha_step(
+          trainer.supernet(), trainer.weight_parameters(),
+          head.valid_batches->next(), tau(head), *head.path_rng);
+      ++head.alpha_updates;
+    }
+  }
+
+  // ---- evaluation: read-only, one output slot per head -----------------
+  std::vector<SearchEpochStats> epoch_stats(heads.size());
+  nn::ParallelContext::current().for_rows(
+      heads.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const AlphaLambdaHead& head = *heads[i]->head;
+          SearchEpochStats& stats = epoch_stats[i];
+          stats.epoch = epoch;
+          stats.tau = tau(*heads[i]);
+          stats.derived = head.derive();
+          stats.lambdas = head.lambda_values();
+          for (const Constraint& constraint : head.constraints()) {
+            stats.predicted_costs.push_back(
+                constraint.predictor->predict(stats.derived));
+          }
+          stats.lambda = stats.lambdas.front();
+          stats.predicted_cost = stats.predicted_costs.front();
+          stats.sampled_cost_mean =
+              alpha_steps > 0 ? sampled_cost_sum[i] /
+                                    static_cast<double>(alpha_steps)
+                              : stats.predicted_cost;
+          const EvalResult eval =
+              trainer.supernet().evaluate(valid, stats.derived.ops());
+          stats.valid_loss = eval.loss;
+          stats.valid_accuracy = eval.accuracy;
+        }
+      });
+  return epoch_stats;
+}
+
+// ------------------------------------------------ watchdog and selection
+
+std::string watchdog_verdict(const WatchdogConfig& watchdog,
+                             const SearchEpochStats& stats,
+                             const nn::Tensor& alpha, double best_accuracy) {
+  if (!watchdog.enabled) return {};
+  if (!std::isfinite(stats.valid_loss)) return "non-finite validation loss";
+  if (!tensor_finite(alpha)) return "non-finite alpha";
+  for (std::size_t c = 0; c < stats.lambdas.size(); ++c) {
+    if (!std::isfinite(stats.lambdas[c]) ||
+        std::abs(stats.lambdas[c]) > watchdog.lambda_limit) {
+      return "runaway lambda (constraint " + std::to_string(c) +
+             ", value " + std::to_string(stats.lambdas[c]) + ")";
+    }
+    if (!std::isfinite(stats.predicted_costs[c])) {
+      return "non-finite predicted cost (constraint " + std::to_string(c) +
+             ")";
+    }
+  }
+  if (best_accuracy >= watchdog.min_reference_accuracy &&
+      stats.valid_accuracy <
+          watchdog.accuracy_collapse_frac * best_accuracy) {
+    return "accuracy collapse (" + std::to_string(stats.valid_accuracy) +
+           " vs best " + std::to_string(best_accuracy) + ")";
+  }
+  return {};
+}
+
+std::size_t select_snapshot(const std::vector<SearchEpochStats>& trace,
+                            const std::vector<Constraint>& constraints,
+                            bool aborted) {
+  const std::size_t last = trace.size() - 1;
+  std::size_t best = last;
+  double best_gap = aborted ? std::numeric_limits<double>::infinity()
+                            : constraint_gap(trace[last].predicted_costs,
+                                             constraints);
+  for (std::size_t i = trace.size() - std::max<std::size_t>(
+                                          1, trace.size() / 4);
+       i < trace.size(); ++i) {
+    const double gap = constraint_gap(trace[i].predicted_costs, constraints);
+    if (gap < best_gap) {
+      best_gap = gap;
+      best = i;
+    }
+  }
+  return best;
 }
 
 }  // namespace lightnas::core

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -18,23 +19,24 @@
 
 namespace lightnas::core {
 
-/// Reusable building blocks of the differentiable search loop, factored
-/// out of the monolithic LightNas::search() so the single-target engine
-/// and the multi-target campaign orchestrator (src/campaign) share one
-/// implementation of the paper's update rules:
+/// The differentiable search loop of Eq (11), written once: the
+/// single-target engine (LightNas::search) runs it over one head, the
+/// campaign orchestrator (src/campaign) over one head per target.
 ///
 ///  - SearchTopology: searchable-layer bookkeeping, Gumbel-Softmax path
 ///    sampling (Eq 7), encoding assembly for the differentiable cost
 ///    (Eq 9/12) and argmax derivation (Eq 4);
-///  - SharedWTrainer: the supernet-weight half of the bi-level loop —
-///    one SGD+cosine step on a sampled single path;
-///  - AlphaLambdaHead: the per-target half — architecture parameters
-///    alpha, their Adam state, and one learned multiplier per
-///    constraint, stepped against any supernet sharing the topology.
+///  - SharedWTrainer: the supernet-weight half — one SGD+cosine step on
+///    a sampled single path;
+///  - AlphaLambdaHead: the per-target half — alpha, its Adam state and
+///    one learned multiplier per constraint;
+///  - EpochRunner / EpochHead: one epoch over a list of heads, and each
+///    head's healthy-epoch and rollback-cooldown updates;
+///  - watchdog_verdict / select_snapshot: the divergence check and the
+///    last-quarter result selection.
 ///
-/// Every method preserves the exact op order (and therefore the exact
-/// floating-point trajectory) of the pre-refactor loop; the engine
-/// tests' bit-identity contracts hold across this factoring.
+/// Each caller keeps its RNG stream layout, rollback policy (the search
+/// rewinds everything, a campaign one head) and checkpoint format.
 
 /// One Gumbel-Softmax draw: the relaxed distribution p_hat plus the
 /// argmax path it selects (fixed layers carry op 0 by construction).
@@ -192,5 +194,71 @@ class AlphaLambdaHead {
   nn::Adam alpha_optimizer_;
   std::vector<nn::LambdaAscent> lambdas_;
 };
+
+/// One head's place in the epoch loop: the head and the streams it
+/// draws from (all owned by the caller), and its run record.
+struct EpochHead {
+  EpochHead(AlphaLambdaHead& h, util::Rng& path, nn::Batcher& valid)
+      : head(&h), path_rng(&path), valid_batches(&valid) {}
+
+  AlphaLambdaHead* head;
+  util::Rng* path_rng;  ///< w-phase paths and alpha-step noise
+  nn::Batcher* valid_batches;
+
+  /// Watchdog cooldown: rollbacks shrink the alpha/lambda step sizes by
+  /// `cooldown_scale` and can hold tau above its schedule for a few
+  /// epochs (`tau_floor` decays back towards zero on healthy epochs).
+  double cooldown_scale = 1.0;
+  double tau_floor = 0.0;
+  double best_accuracy = 0.0;  ///< over `trace`: the collapse reference
+  std::size_t alpha_updates = 0;
+  std::vector<SearchEpochStats> trace;  ///< one entry per healthy epoch
+
+  /// A healthy epoch: append to the trace, raise the best accuracy and
+  /// decay the tau floor (to zero below `tau_final`).
+  void record_healthy(SearchEpochStats stats, double tau_final);
+  /// After a rollback: shrink the step sizes by `factor` and hold tau at
+  /// least at `tau_now`, the unhealthy epoch's scheduled value.
+  void cool_down(double factor, double tau_now);
+  /// Reinstate a snapshot's record (resume or full rollback).
+  void restore(double scale, double floor, std::size_t updates,
+               std::vector<SearchEpochStats> snapshot_trace);
+};
+
+/// One epoch of Eq (11) over heads that share one supernet; every
+/// member is the caller's.
+struct EpochRunner {
+  const LightNasConfig& config;
+  const TemperatureSchedule& tau_schedule;
+  SharedWTrainer& trainer;
+  nn::Batcher& train_batches;
+  const nn::Dataset& valid;
+
+  /// Runs `epoch`: w-steps on paths sampled from the heads round-robin,
+  /// then (after warmup) each head's alpha steps on its own validation
+  /// batches, then each head's evaluation on the current
+  /// ParallelContext's lanes (read-only, one slot per head, so
+  /// bit-identical for any lane count). Returns stats in `heads` order.
+  std::vector<SearchEpochStats> run(std::size_t epoch,
+                                    const std::vector<EpochHead*>& heads);
+};
+
+/// The divergence watchdog on one head's epoch: empty when healthy (or
+/// disabled), else the reason. In order: validation loss, alpha, per
+/// constraint the multiplier and the predicted cost, then accuracy
+/// collapse relative to `best_accuracy`.
+std::string watchdog_verdict(const WatchdogConfig& watchdog,
+                             const SearchEpochStats& stats,
+                             const nn::Tensor& alpha, double best_accuracy);
+
+/// The `select_best_from_trace` guard over a non-empty trace: the index
+/// of the snapshot in the last quarter (at least the last entry) whose
+/// worst relative gap |COST_c - T_c| / T_c is smallest. A tie with the
+/// last snapshot keeps it, other ties go to the earliest; after an abort
+/// the last snapshot has no precedence. A snapshot with a missing or
+/// non-finite cost never wins.
+std::size_t select_snapshot(const std::vector<SearchEpochStats>& trace,
+                            const std::vector<Constraint>& constraints,
+                            bool aborted);
 
 }  // namespace lightnas::core

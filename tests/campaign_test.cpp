@@ -346,6 +346,31 @@ TEST_F(CampaignTest, WatchdogFreezesDivergedJobsAndCampaignSurvives) {
   EXPECT_LT(result.completed_epochs, config.search.epochs);
 }
 
+TEST_F(CampaignTest, JobDivergedBeforeAnyHealthyEpochStaysDiverged) {
+  // No warmup: the first epoch's alpha steps already push lambda past the
+  // limit, so every job diverges with no healthy epoch to roll back to.
+  CampaignConfig config = tiny_config();
+  config.search.warmup_epochs = 0;
+  config.search.watchdog.lambda_limit = 1e-6;
+  config.search.watchdog.max_rollbacks = 0;
+  const CampaignResult result = make_orchestrator(config).run();
+
+  EXPECT_EQ(result.count(JobState::kDiverged), config.targets.size());
+  EXPECT_EQ(result.count(JobState::kPreempted), 0u);
+  for (const JobResult& job : result.jobs) {
+    EXPECT_EQ(job.state, JobState::kDiverged);
+    EXPECT_TRUE(job.trace.empty());
+    ASSERT_EQ(job.events.size(), 1u);
+    EXPECT_FALSE(job.events.front().rolled_back);
+    EXPECT_EQ(job.events.front().reason.rfind(
+                  "runaway lambda (constraint 0, value ", 0),
+              0u);
+    EXPECT_FALSE(job.on_front);
+  }
+  EXPECT_TRUE(result.front.empty());
+  EXPECT_EQ(result.completed_epochs, 1u);
+}
+
 // Job-level multiplexing onto the parallel context must not change a
 // single bit of any trajectory, and a checkpoint written at 4 lanes must
 // resume exactly at 1 lane. In the LIGHTNAS_TSAN build this doubles as

@@ -583,5 +583,142 @@ TEST_F(SupernetEvaluateTest, BuildsNoGraphAndIsThreadSafe) {
     }
   }
 }
+// --- watchdog verdict and result selection -------------------------------
+
+/// One row per watchdog trigger (and per boundary), on a two-constraint
+/// epoch. The search and the campaign both read this verdict.
+TEST(WatchdogVerdict, OneCasePerTrigger) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const WatchdogConfig on;  // lambda_limit 75, collapse 0.25 over >= 0.30
+  WatchdogConfig off;
+  off.enabled = false;
+
+  struct Case {
+    std::string name;
+    WatchdogConfig watchdog;
+    double valid_loss;
+    float alpha_entry;
+    std::vector<double> lambdas;
+    std::vector<double> costs;
+    double accuracy;
+    double best_accuracy;
+    std::string reason;
+  };
+  const std::vector<Case> cases = {
+      {"healthy", on, 1.0, 0.5f, {1.0, -2.0}, {20.0, 5.0}, 0.5, 0.6, ""},
+      {"non-finite loss", on, nan, 0.5f, {1.0, -2.0}, {20.0, 5.0}, 0.5, 0.6,
+       "non-finite validation loss"},
+      {"loss is checked before alpha", on, inf, nan, {1.0, 80.0},
+       {20.0, 5.0}, 0.5, 0.6, "non-finite validation loss"},
+      {"non-finite alpha", on, 1.0, static_cast<float>(inf), {1.0, -2.0},
+       {20.0, 5.0}, 0.5, 0.6, "non-finite alpha"},
+      {"runaway lambda on the second constraint", on, 1.0, 0.5f,
+       {1.0, 80.0}, {20.0, 5.0}, 0.5, 0.6,
+       "runaway lambda (constraint 1, value 80.000000)"},
+      {"negative runaway lambda", on, 1.0, 0.5f, {-76.0, 1.0}, {20.0, 5.0},
+       0.5, 0.6, "runaway lambda (constraint 0, value -76.000000)"},
+      {"lambda at the limit is healthy", on, 1.0, 0.5f, {75.0, -75.0},
+       {20.0, 5.0}, 0.5, 0.6, ""},
+      {"non-finite lambda", on, 1.0, 0.5f, {1.0, nan}, {20.0, 5.0}, 0.5, 0.6,
+       "runaway lambda (constraint 1, value nan)"},
+      {"constraint 0's cost before constraint 1's lambda", on, 1.0, 0.5f,
+       {1.0, 80.0}, {nan, 5.0}, 0.5, 0.6,
+       "non-finite predicted cost (constraint 0)"},
+      {"non-finite cost on the second constraint", on, 1.0, 0.5f,
+       {1.0, -2.0}, {20.0, inf}, 0.5, 0.6,
+       "non-finite predicted cost (constraint 1)"},
+      {"accuracy collapse", on, 1.0, 0.5f, {1.0, -2.0}, {20.0, 5.0}, 0.1,
+       0.6, "accuracy collapse (0.100000 vs best 0.600000)"},
+      {"at the collapse fraction is healthy", on, 1.0, 0.5f, {1.0, -2.0},
+       {20.0, 5.0}, 0.15, 0.6, ""},
+      {"best exactly at min_reference_accuracy", on, 1.0, 0.5f, {1.0, -2.0},
+       {20.0, 5.0}, 0.0, 0.30,
+       "accuracy collapse (0.000000 vs best 0.300000)"},
+      {"best below min_reference_accuracy", on, 1.0, 0.5f, {1.0, -2.0},
+       {20.0, 5.0}, 0.0, 0.29, ""},
+      {"disabled", off, nan, nan, {nan, 1e9}, {nan, nan}, 0.0, 0.9, ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SearchEpochStats stats;
+    stats.valid_loss = c.valid_loss;
+    stats.valid_accuracy = c.accuracy;
+    stats.lambdas = c.lambdas;
+    stats.predicted_costs = c.costs;
+    stats.lambda = c.lambdas.front();
+    stats.predicted_cost = c.costs.front();
+    nn::Tensor alpha = nn::Tensor::zeros(2, 3);
+    alpha.at(1, 2) = c.alpha_entry;
+    EXPECT_EQ(watchdog_verdict(c.watchdog, stats, alpha, c.best_accuracy),
+              c.reason);
+  }
+}
+
+std::vector<SearchEpochStats> trace_of_costs(
+    const std::vector<double>& costs) {
+  std::vector<SearchEpochStats> trace(costs.size());
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    trace[i].epoch = i;
+    trace[i].predicted_cost = costs[i];
+    trace[i].predicted_costs = {costs[i]};
+  }
+  return trace;
+}
+
+TEST(TraceSelection, TheWorstConstraintDecides) {
+  const std::vector<Constraint> two{{nullptr, 20.0}, {nullptr, 5.0}};
+  std::vector<SearchEpochStats> trace = trace_of_costs({0, 0, 0, 0, 0, 0,
+                                                        0, 0});
+  trace[6].predicted_costs = {22.0, 5.5};  // worst gap 0.1
+  trace[7].predicted_costs = {20.0, 4.0};  // worst gap 0.2
+  EXPECT_EQ(select_snapshot(trace, two, false), 6u);
+  // A snapshot missing a constraint's cost never wins.
+  trace[6].predicted_costs = {20.0};
+  EXPECT_EQ(select_snapshot(trace, two, false), 7u);
+  EXPECT_EQ(select_snapshot(trace, two, true), 7u);
+}
+
+TEST(TraceSelection, PicksTheClosestSnapshotOfTheLastQuarter) {
+  const std::vector<Constraint> one{{nullptr, 20.0}};
+  // Eight epochs: the window is epochs 6 and 7; epoch 0 is exact but
+  // outside it.
+  const auto eight =
+      trace_of_costs({20.0, 30.0, 30.0, 30.0, 30.0, 30.0, 21.0, 22.0});
+  EXPECT_EQ(select_snapshot(eight, one, false), 6u);
+  EXPECT_EQ(select_snapshot(eight, one, true), 6u);
+  // Fewer than four epochs: the window is the last one alone.
+  const auto three = trace_of_costs({20.0, 25.0, 30.0});
+  EXPECT_EQ(select_snapshot(three, one, false), 2u);
+  EXPECT_EQ(select_snapshot(three, one, true), 2u);
+}
+
+TEST(TraceSelection, TiesKeepTheLastSnapshotUnlessTheRunAborted) {
+  const std::vector<Constraint> one{{nullptr, 20.0}};
+  // 18 and 22 tie: the last snapshot keeps its place, but after an
+  // abort the earliest closest snapshot wins.
+  const auto tie_with_last =
+      trace_of_costs({0, 0, 0, 0, 0, 0, 0, 0, 30, 22, 18, 22});
+  EXPECT_EQ(select_snapshot(tie_with_last, one, false), 11u);
+  EXPECT_EQ(select_snapshot(tie_with_last, one, true), 9u);
+  // A tie that does not involve the last snapshot goes to the earliest.
+  const auto tie_inside =
+      trace_of_costs({0, 0, 0, 0, 0, 0, 0, 0, 30, 22, 18, 25});
+  EXPECT_EQ(select_snapshot(tie_inside, one, false), 9u);
+}
+
+TEST(TraceSelection, NonFiniteCostsNeverWin) {
+  const std::vector<Constraint> one{{nullptr, 20.0}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(select_snapshot(trace_of_costs({1, 1, 1, 1, 1, 1, 25, nan}),
+                            one, false),
+            6u);
+  EXPECT_EQ(select_snapshot(trace_of_costs({1, 1, 1, 1, 1, 1, 25, nan}),
+                            one, true),
+            6u);
+  // With nothing finite in the window the last snapshot stands.
+  EXPECT_EQ(select_snapshot(trace_of_costs({20, nan}), one, true), 1u);
+}
+
 }  // namespace
 }  // namespace lightnas::core

@@ -276,6 +276,96 @@ TEST_F(WatchdogTest, NonFinitePredictionAbortsWithoutSnapshot) {
   EXPECT_EQ(result.architecture.num_layers(), space_.num_layers());
 }
 
+// --- result selection ----------------------------------------------------
+
+/// Which snapshot LightNas::search returns. A constant predictor ties
+/// every snapshot's constraint gap, so only the selection rules decide:
+/// a tie with the live head keeps the live head, a tie inside the
+/// last-quarter window goes to its earliest snapshot, and an aborted
+/// run never returns its live (diverged) head.
+class SelectionTest : public WatchdogTest {
+ protected:
+  /// A hot alpha step moves the derived architecture between epochs;
+  /// lambda climbs 28 per alpha epoch and passes the limit at epoch 11,
+  /// after an 11-epoch trace whose window holds epochs 9 and 10.
+  static core::LightNasConfig aborting_config() {
+    core::LightNasConfig config = runaway_config();
+    config.epochs = 20;
+    config.warmup_epochs = 8;
+    config.alpha_lr = 0.05;
+    config.watchdog.lambda_limit = 100.0;
+    config.watchdog.max_rollbacks = 0;
+    return config;
+  }
+
+  core::SearchResult run(const core::LightNasConfig& config) const {
+    return core::LightNas(space_, predictor_, task_, core::SupernetConfig{},
+                          config)
+        .search();
+  }
+
+  /// The head an aborted run ended on: the same run with the watchdog
+  /// off follows the identical trajectory up to the divergence, so its
+  /// snapshot of that epoch is the live head.
+  space::Architecture live_head_at_abort(const core::SearchResult& aborted,
+                                         core::LightNasConfig config) const {
+    config.watchdog.enabled = false;
+    const core::SearchResult twin = run(config);
+    const std::size_t diverged = aborted.health.events.back().epoch;
+    EXPECT_EQ(diverged, aborted.trace.size());
+    for (std::size_t e = 0; e < aborted.trace.size(); ++e) {
+      EXPECT_EQ(twin.trace[e].derived.ops(), aborted.trace[e].derived.ops());
+      EXPECT_EQ(twin.trace[e].lambda, aborted.trace[e].lambda);
+    }
+    return twin.trace.at(diverged).derived;
+  }
+
+  const ConstantPredictor predictor_{space_, 30.0};
+};
+
+TEST_F(SelectionTest, AbortedRunNeverReturnsTheLiveDivergedHead) {
+  const core::LightNasConfig config = aborting_config();
+  const core::SearchResult result = run(config);
+  ASSERT_TRUE(result.health.aborted_early);
+  ASSERT_EQ(result.trace.size(), 11u);
+  const space::Architecture live = live_head_at_abort(result, config);
+
+  // Window = epochs 9..10, all gaps tie: the earliest snapshot wins.
+  EXPECT_EQ(result.architecture.ops(), result.trace[9].derived.ops());
+  EXPECT_NE(result.architecture.ops(), live.ops());
+  EXPECT_EQ(result.final_lambda, result.trace.back().lambda);
+  EXPECT_EQ(result.final_costs, std::vector<double>{30.0});
+}
+
+TEST_F(SelectionTest, SelectionOffReturnsTheLiveHead) {
+  core::LightNasConfig config = aborting_config();
+  config.select_best_from_trace = false;
+  const core::SearchResult result = run(config);
+  ASSERT_TRUE(result.health.aborted_early);
+  const space::Architecture live = live_head_at_abort(result, config);
+
+  EXPECT_EQ(result.architecture.ops(), live.ops());
+  EXPECT_NE(result.architecture.ops(), result.trace[9].derived.ops());
+  // The multiplier still comes from the last healthy epoch.
+  EXPECT_EQ(result.final_lambda, result.trace.back().lambda);
+}
+
+TEST_F(SelectionTest, GapTieWithTheLiveHeadKeepsTheLiveHead) {
+  core::LightNasConfig config = aborting_config();
+  config.watchdog.enabled = false;
+  const core::SearchResult result = run(config);
+  ASSERT_FALSE(result.health.aborted_early);
+  ASSERT_EQ(result.trace.size(), config.epochs);
+
+  // The window (epochs 15..19) ties the live head, which equals the
+  // last snapshot; an earlier, different snapshot does not displace it.
+  const std::size_t window_start = config.epochs - config.epochs / 4;
+  ASSERT_NE(result.trace[window_start].derived.ops(),
+            result.trace.back().derived.ops());
+  EXPECT_EQ(result.architecture.ops(), result.trace.back().derived.ops());
+  EXPECT_EQ(result.final_lambda, result.trace.back().lambda);
+}
+
 // --- config / constraint validation --------------------------------------
 
 class ValidationTest : public WatchdogTest {};
