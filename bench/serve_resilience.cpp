@@ -13,7 +13,8 @@
 //                   contract is untouched);
 //   2. parity     — arming deadlines + breaker + fallback on a *clean*
 //                   backend keeps closed-loop throughput within noise
-//                   of the plain service and resolves everything;
+//                   of the plain service (median over interleaved
+//                   plain/armed pairs) and resolves everything;
 //   3. storm SLO  — under an injected fault storm, >= 99% of requests
 //                   resolve (value or typed error) within deadline +
 //                   grace, client p99 wait stays bounded, and the
@@ -104,12 +105,11 @@ int main(int argc, char** argv) {
   std::vector<Gate> gates;
 
   // --- Gate 1: bit-identity with resilience disabled -------------------
-  double plain_qps = 0.0;
+  serve::ServiceConfig plain;
+  plain.num_workers = 2;
+  plain.max_batch = 16;
+  plain.queue_capacity = 128;
   {
-    serve::ServiceConfig plain;
-    plain.num_workers = 2;
-    plain.max_batch = 16;
-    plain.queue_capacity = 128;
     serve::PredictionService service(*predictor, plain);
     util::Rng rng(7);
     std::size_t mismatches = 0;
@@ -118,9 +118,6 @@ int main(int argc, char** argv) {
       const space::Architecture& arch = pool[zipf.sample(rng)];
       if (service.predict(arch) != predictor->predict(arch)) ++mismatches;
     }
-    const serve::LoadResult load = serve::run_closed_loop(
-        service, pool, zipf, 8, smoke ? 250 : 2000, /*seed=*/31);
-    plain_qps = load.qps();
     gates.push_back({"identity (resilience off)", mismatches == 0,
                      std::to_string(checks - mismatches) + "/" +
                          std::to_string(checks) + " bit-exact"});
@@ -152,18 +149,59 @@ int main(int argc, char** argv) {
     return config;
   };
 
+  // One closed-loop run is a few milliseconds, so a single armed/plain
+  // ratio is at the mercy of the scheduler (single pairs read 0.39x-1.53x
+  // beside a parallel ctest, medians 0.80x-1.00x).
+  // Gate on the median over interleaved pairs, each on fresh services
+  // with the same load, alternating which side runs first.
+  constexpr std::size_t kParityPairs = 9;
+  const std::size_t parity_requests = smoke ? 250 : 2000;
+  double parity = 0.0;
+  double plain_qps = 0.0;
   {
-    serve::PredictionService service(*predictor, armed_config(false));
-    const serve::ResilientLoadResult load = serve::run_resilient_closed_loop(
-        service, pool, zipf, 8, smoke ? 250 : 2000, /*seed=*/31, 1000ms);
-    const double parity = plain_qps > 0.0 ? load.qps() / plain_qps : 0.0;
+    std::vector<double> plain_runs;
+    std::vector<double> ratios;
+    double worst_resolved = 1.0;
+    const auto run_plain = [&] {
+      serve::PredictionService service(*predictor, plain);
+      return serve::run_closed_loop(service, pool, zipf, 8, parity_requests,
+                                    /*seed=*/31)
+          .qps();
+    };
+    const auto run_armed = [&] {
+      serve::PredictionService service(*predictor, armed_config(false));
+      const serve::ResilientLoadResult load = serve::run_resilient_closed_loop(
+          service, pool, zipf, 8, parity_requests, /*seed=*/31, 1000ms);
+      worst_resolved = std::min(worst_resolved, load.resolved_ratio());
+      return load.qps();
+    };
+    for (std::size_t p = 0; p < kParityPairs; ++p) {
+      double plain_run = 0.0;
+      double armed_run = 0.0;
+      if (p % 2 == 0) {
+        plain_run = run_plain();
+        armed_run = run_armed();
+      } else {
+        armed_run = run_armed();
+        plain_run = run_plain();
+      }
+      plain_runs.push_back(plain_run);
+      ratios.push_back(plain_run > 0.0 ? armed_run / plain_run : 0.0);
+    }
+    const auto median = [](std::vector<double> v) {
+      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+      return v[v.size() / 2];
+    };
+    parity = median(ratios);
+    plain_qps = median(plain_runs);
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
     char detail[128];
     std::snprintf(detail, sizeof(detail),
-                  "%.0f vs %.0f q/s (%.2fx), resolved %.4f", load.qps(),
-                  plain_qps, parity, load.resolved_ratio());
+                  "median %.2fx of %zu pairs (%.2f-%.2fx), resolved %.4f",
+                  parity, kParityPairs, *lo, *hi, worst_resolved);
     gates.push_back(
         {"clean-path parity (armed)",
-         parity >= 0.5 && load.resolved_ratio() >= 0.999, detail});
+         parity >= 0.5 && worst_resolved >= 0.999, detail});
   }
 
   // --- Gate 3: fault storm ---------------------------------------------
@@ -256,6 +294,7 @@ int main(int argc, char** argv) {
     io::Json out = io::Json::object();
     out.set("smoke", io::Json(smoke));
     out.set("plain_qps", io::Json(plain_qps));
+    out.set("parity_median", io::Json(parity));
     out.set("storm_resolved_ratio", io::Json(storm.resolved_ratio()));
     out.set("storm_values", io::Json(storm.values));
     out.set("storm_typed_errors", io::Json(storm.typed_errors));

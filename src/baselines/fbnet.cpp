@@ -89,7 +89,7 @@ core::SearchResult FbNetSearch::search() {
     for (std::size_t s = 0; s < num_searchable; ++s) {
       ops[searchable_layers[s]] = alpha->value.argmax_row(s);
     }
-    return space::Architecture(std::move(ops));
+    return space::Architecture(ops);
   };
 
   core::SearchResult result;

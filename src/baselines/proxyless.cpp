@@ -80,7 +80,7 @@ core::SearchResult ProxylessSearch::search() {
     for (std::size_t s = 0; s < num_searchable; ++s) {
       ops[searchable_layers[s]] = alpha->value.argmax_row(s);
     }
-    return space::Architecture(std::move(ops));
+    return space::Architecture(ops);
   };
 
   core::SearchResult result;

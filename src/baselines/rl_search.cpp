@@ -39,7 +39,7 @@ RlSearchResult rl_search(const space::SearchSpace& space,
       ops[l] = rng.categorical(probs);
       probs_out[l] = std::move(probs);
     }
-    return space::Architecture(std::move(ops));
+    return space::Architecture(ops);
   };
 
   auto reward_of = [&](const space::Architecture& arch, double s) {
@@ -106,7 +106,7 @@ RlSearchResult rl_search(const space::SearchSpace& space,
       }
       ops[l] = best_k;
     }
-    result.best = space::Architecture(std::move(ops));
+    result.best = space::Architecture(ops);
     result.best_score = score(result.best);
   }
   return result;

@@ -84,7 +84,7 @@ space::Architecture SearchTopology::derive(const nn::Tensor& alpha) const {
   for (std::size_t s = 0; s < num_searchable(); ++s) {
     ops[searchable_layers_[s]] = alpha.argmax_row(s);
   }
-  return space::Architecture(std::move(ops));
+  return space::Architecture(ops);
 }
 
 nn::VarPtr SearchTopology::assemble_encoding(

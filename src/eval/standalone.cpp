@@ -38,6 +38,7 @@ StandaloneResult train_standalone(const space::SearchSpace& space,
   util::Rng rng(config.seed * 0x9e3779b97f4a7c15ULL + 5);
   nn::Batcher batches(task.train, config.batch_size, rng);
 
+  const std::vector<std::size_t> path = arch.ops();
   StandaloneResult result;
   std::size_t step_counter = 0;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -46,7 +47,7 @@ StandaloneResult train_standalone(const space::SearchSpace& space,
       const nn::Dataset batch = batches.next();
       optimizer.zero_grad();
       const nn::VarPtr logits =
-          net.forward_single_path(batch.features, arch.ops());
+          net.forward_single_path(batch.features, path);
       const nn::VarPtr loss =
           nn::ops::softmax_cross_entropy(logits, batch.labels);
       nn::backward(loss);
@@ -58,7 +59,7 @@ StandaloneResult train_standalone(const space::SearchSpace& space,
         epoch_loss / static_cast<double>(config.steps_per_epoch);
   }
 
-  const core::EvalResult eval = net.evaluate(task.valid, arch.ops());
+  const core::EvalResult eval = net.evaluate(task.valid, path);
   result.valid_loss = eval.loss;
   result.valid_accuracy = eval.accuracy;
   return result;

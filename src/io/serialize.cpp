@@ -311,6 +311,8 @@ predictors::MeasurementDataset dataset_from_json(const Json& json) {
     space::Architecture arch;
     try {
       arch = space::Architecture::deserialize(text);
+    } catch (const std::out_of_range& e) {  // an op wider than one byte
+      fail(e.what());
     } catch (const std::logic_error&) {  // std::stoul on a bad token
       fail("malformed architecture '" + text + "'");
     }

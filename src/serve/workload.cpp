@@ -38,11 +38,17 @@ std::size_t ZipfSampler::sample(util::Rng& rng) const {
 std::vector<space::Architecture> random_architecture_pool(
     const space::SearchSpace& space, std::size_t count, util::Rng& rng) {
   std::vector<space::Architecture> pool;
-  std::unordered_set<space::Architecture> seen;
+  // Dedup on the fingerprint, as the serving cache keys on it: a second
+  // full copy of every member would double the universe's footprint and
+  // leave it fragmented once freed.
+  std::unordered_set<std::uint64_t> seen;
   pool.reserve(count);
+  seen.reserve(count);
   while (pool.size() < count) {
     space::Architecture arch = space.random_architecture(rng);
-    if (seen.insert(arch).second) pool.push_back(std::move(arch));
+    if (seen.insert(arch.fingerprint()).second) {
+      pool.push_back(std::move(arch));
+    }
   }
   return pool;
 }

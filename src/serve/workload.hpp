@@ -30,7 +30,8 @@ class ZipfSampler {
 
 /// `count` distinct random architectures (the load generators' request
 /// universe). Distinctness matters: duplicates would inflate cache hit
-/// rates for free.
+/// rates for free. Distinct means distinct fingerprints, the serving
+/// cache's own key (a collision has probability ~2^-64).
 std::vector<space::Architecture> random_architecture_pool(
     const space::SearchSpace& space, std::size_t count, util::Rng& rng);
 

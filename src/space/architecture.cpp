@@ -9,8 +9,31 @@
 
 namespace lightnas::space {
 
-Architecture::Architecture(std::vector<std::size_t> op_indices)
-    : op_indices_(std::move(op_indices)) {}
+namespace {
+
+std::out_of_range op_range_error(std::size_t layer, const std::string& op) {
+  return std::out_of_range("layer " + std::to_string(layer) + " has op " +
+                           op + ", but an op index is at most " +
+                           std::to_string(Architecture::kMaxOp));
+}
+
+/// Checked in every build: ops come from files and the command line, and
+/// a wider index would silently wrap to another op in its byte.
+std::uint8_t narrow_op(std::size_t layer, std::size_t op) {
+  if (op > Architecture::kMaxOp) {
+    throw op_range_error(layer, std::to_string(op));
+  }
+  return static_cast<std::uint8_t>(op);
+}
+
+}  // namespace
+
+Architecture::Architecture(const std::vector<std::size_t>& op_indices) {
+  op_indices_.reserve(op_indices.size());
+  for (std::size_t l = 0; l < op_indices.size(); ++l) {
+    op_indices_.push_back(narrow_op(l, op_indices[l]));
+  }
+}
 
 std::size_t Architecture::op_at(std::size_t layer) const {
   assert(layer < op_indices_.size());
@@ -19,7 +42,7 @@ std::size_t Architecture::op_at(std::size_t layer) const {
 
 void Architecture::set_op(std::size_t layer, std::size_t op_index) {
   assert(layer < op_indices_.size());
-  op_indices_[layer] = op_index;
+  op_indices_[layer] = narrow_op(layer, op_index);
 }
 
 std::vector<float> Architecture::encode_one_hot(std::size_t num_ops) const {
@@ -53,13 +76,13 @@ Architecture Architecture::decode_one_hot(const std::vector<float>& encoding,
     }
     ops[l] = best;
   }
-  return Architecture(std::move(ops));
+  return Architecture(ops);
 }
 
 std::size_t Architecture::effective_depth(const SearchSpace& space) const {
   const std::size_t skip = space.ops().skip_index();
   std::size_t depth = 0;
-  for (std::size_t op : op_indices_) {
+  for (const std::uint8_t op : op_indices_) {
     if (op != skip) ++depth;
   }
   return depth;
@@ -103,7 +126,7 @@ std::string Architecture::serialize() const {
   std::ostringstream oss;
   for (std::size_t l = 0; l < op_indices_.size(); ++l) {
     if (l > 0) oss << ',';
-    oss << op_indices_[l];
+    oss << static_cast<unsigned>(op_indices_[l]);
   }
   if (with_se_) oss << ":se";
   return oss.str();
@@ -121,9 +144,13 @@ Architecture Architecture::deserialize(const std::string& text) {
   std::istringstream iss(body);
   std::string token;
   while (std::getline(iss, token, ',')) {
-    ops.push_back(static_cast<std::size_t>(std::stoul(token)));
+    try {
+      ops.push_back(static_cast<std::size_t>(std::stoul(token)));
+    } catch (const std::out_of_range&) {  // wider than unsigned long
+      throw op_range_error(ops.size(), token);
+    }
   }
-  Architecture arch(std::move(ops));
+  Architecture arch(ops);
   arch.set_with_se(se);
   return arch;
 }
@@ -148,7 +175,7 @@ std::uint64_t Architecture::fingerprint() const {
   std::uint64_t h =
       mix64(0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(
                                         op_indices_.size()));
-  for (std::size_t op : op_indices_) {
+  for (const std::uint8_t op : op_indices_) {
     h = mix64(h ^ (static_cast<std::uint64_t>(op) + 1));
   }
   return mix64(h ^ (with_se_ ? 0x5851f42d4c957f2dULL : 0));
@@ -157,7 +184,8 @@ std::uint64_t Architecture::fingerprint() const {
 bool ArchitectureLess::operator()(const Architecture& a,
                                   const Architecture& b) const {
   if (a.with_se() != b.with_se()) return !a.with_se();
-  return a.ops() < b.ops();
+  // Bytes compare as the indices they hold, without widening a copy.
+  return a.op_indices_ < b.op_indices_;
 }
 
 }  // namespace lightnas::space

@@ -14,12 +14,23 @@ class SearchSpace;
 /// architecture (including fixed layers, whose entry never varies).
 /// This is the paper's arch = {op_l} with the sparse one-hot encoding
 /// alpha-bar of Eq (4) available via `encode_one_hot`.
+///
+/// Ops are stored one byte each, so a 22-layer architecture costs 64 B
+/// (object plus heap chunk) and a serving universe of 262k of them stays
+/// small. An op index above kMaxOp throws std::out_of_range wherever one
+/// enters (constructor, set_op, deserialize) instead of being narrowed.
 class Architecture {
  public:
-  Architecture() = default;
-  explicit Architecture(std::vector<std::size_t> op_indices);
+  static constexpr std::size_t kMaxOp = 255;
 
-  const std::vector<std::size_t>& ops() const { return op_indices_; }
+  Architecture() = default;
+  explicit Architecture(const std::vector<std::size_t>& op_indices);
+
+  /// A widened copy of the op indices (the supernet's path form). Hoist
+  /// it out of per-step loops.
+  std::vector<std::size_t> ops() const {
+    return {op_indices_.begin(), op_indices_.end()};
+  }
   std::size_t op_at(std::size_t layer) const;
   void set_op(std::size_t layer, std::size_t op_index);
   std::size_t num_layers() const { return op_indices_.size(); }
@@ -62,7 +73,9 @@ class Architecture {
   bool operator==(const Architecture& other) const = default;
 
  private:
-  std::vector<std::size_t> op_indices_;
+  friend struct ArchitectureLess;
+
+  std::vector<std::uint8_t> op_indices_;
   bool with_se_ = false;
 };
 

@@ -100,7 +100,7 @@ Architecture SearchSpace::random_architecture(
       ops[l] = static_cast<std::size_t>(rng.uniform_index(num_ops()));
     }
   }
-  return Architecture(std::move(ops));
+  return Architecture(ops);
 }
 
 Architecture SearchSpace::mutate(const Architecture& base,
@@ -145,7 +145,7 @@ Architecture SearchSpace::uniform_architecture(std::size_t op_index) const {
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     if (layers_[l].searchable) ops[l] = op_index;
   }
-  return Architecture(std::move(ops));
+  return Architecture(ops);
 }
 
 std::string SearchSpace::describe() const {

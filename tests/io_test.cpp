@@ -310,6 +310,17 @@ TEST_F(SerializeTest, DatasetRejectsOutOfRangeOps) {
             std::string::npos);
 }
 
+// Ops are one byte: 256 and 263 would wrap to ops 0 and 7, so they must
+// fail with the row and layer, not as a malformed architecture.
+TEST_F(SerializeTest, DatasetRejectsOpsWiderThanOneByte) {
+  EXPECT_EQ(dataset_error({"0,256,2"}),
+            "dataset row 0: layer 1 has op 256, but an op index is at most "
+            "255");
+  EXPECT_EQ(dataset_error({"0,1,2", "0,263,2"}),
+            "dataset row 1: layer 1 has op 263, but an op index is at most "
+            "255");
+}
+
 TEST_F(SerializeTest, DatasetRejectsRaggedAndMalformedRows) {
   EXPECT_EQ(dataset_error({"0,1,2", "0,1"}),
             "dataset row 1: 2 layers, but row 0 has 3");

@@ -414,5 +414,31 @@ TEST(Workload, RandomPoolIsDistinct) {
   EXPECT_EQ(fingerprints.size(), pool.size());
 }
 
+// The pool dedups on fingerprints; it must draw the same members, in the
+// same order, as a dedup on full architecture copies.
+TEST(Workload, RandomPoolMatchesFullCopyDedup) {
+  const space::SearchSpace space = space::SearchSpace::fbnet_xavier();
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::size_t count : {64u, 4096u}) {
+      util::Rng rng(seed);
+      const std::vector<space::Architecture> pool =
+          random_architecture_pool(space, count, rng);
+
+      util::Rng reference_rng(seed);
+      std::vector<space::Architecture> reference;
+      std::unordered_set<space::Architecture> seen;
+      while (reference.size() < count) {
+        space::Architecture arch = space.random_architecture(reference_rng);
+        if (seen.insert(arch).second) reference.push_back(std::move(arch));
+      }
+      EXPECT_EQ(pool, reference) << "seed " << seed << ", count " << count;
+      EXPECT_EQ(std::unordered_set<space::Architecture>(pool.begin(),
+                                                         pool.end())
+                    .size(),
+                count);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lightnas::serve

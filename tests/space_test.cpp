@@ -151,6 +151,43 @@ TEST(Architecture, SerializeRoundTrip) {
   EXPECT_EQ(restored, arch);
 }
 
+// Ops are stored one byte each; a wider index must fail loudly wherever
+// it enters instead of wrapping to another op (256 -> 0, 263 -> 7).
+TEST(Architecture, RejectsOpsWiderThanOneByte) {
+  EXPECT_THROW(Architecture({0, 256}), std::out_of_range);
+  try {
+    Architecture({0, 1, 263});
+    FAIL() << "op 263 was accepted";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(),
+                 "layer 2 has op 263, but an op index is at most 255");
+  }
+  Architecture arch({0, 1, 2});
+  EXPECT_THROW(arch.set_op(1, 256), std::out_of_range);
+  EXPECT_EQ(arch, Architecture({0, 1, 2}));
+  EXPECT_THROW(Architecture::deserialize("0,256,2"), std::out_of_range);
+  EXPECT_THROW(Architecture::deserialize("0,99999999999999999999999,2"),
+               std::out_of_range);
+  EXPECT_THROW(Architecture::deserialize("0,-1,2"), std::out_of_range);
+  EXPECT_THROW(Architecture::deserialize("0,x,2"), std::invalid_argument);
+}
+
+TEST(Architecture, EveryByteOpRoundTrips) {
+  std::vector<std::size_t> ops(Architecture::kMaxOp + 1);
+  for (std::size_t l = 0; l < ops.size(); ++l) ops[l] = l;
+  Architecture arch(ops);
+  EXPECT_EQ(arch.ops(), ops);
+  EXPECT_EQ(arch.op_at(255), 255u);
+  arch.set_with_se(true);
+  const std::string text = arch.serialize();
+  EXPECT_EQ(text.substr(text.size() - 11), ",254,255:se");
+  const Architecture restored = Architecture::deserialize(text);
+  EXPECT_EQ(restored, arch);
+  EXPECT_EQ(restored.fingerprint(), arch.fingerprint());
+  arch.set_op(0, 255);
+  EXPECT_EQ(arch.op_at(0), 255u);
+}
+
 TEST(Architecture, EffectiveDepthCountsNonSkip) {
   const SearchSpace space = SearchSpace::fbnet_xavier();
   Architecture arch = space.uniform_architecture(space.ops().skip_index());
@@ -179,6 +216,30 @@ TEST(Architecture, LessGivesStrictWeakOrder) {
   const Architecture a = space.mobilenet_v2_like();
   ArchitectureLess less;
   EXPECT_FALSE(less(a, a));
+}
+
+// The byte compare must order exactly as the widened op lists do, ops
+// above 127 and prefixes included.
+TEST(Architecture, LessMatchesWidenedOpOrder) {
+  util::Rng rng(11);
+  std::vector<Architecture> archs;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<std::size_t> ops(1 + rng.uniform_index(3));
+    for (std::size_t& op : ops) {
+      op = rng.uniform_index(2) * 200 + rng.uniform_index(2);  // 0/1/200/201
+    }
+    archs.emplace_back(ops);
+    archs.back().set_with_se(rng.uniform_index(4) == 0);
+  }
+  const ArchitectureLess less;
+  for (const Architecture& a : archs) {
+    for (const Architecture& b : archs) {
+      const bool expected = a.with_se() != b.with_se() ? !a.with_se()
+                                                       : a.ops() < b.ops();
+      EXPECT_EQ(less(a, b), expected)
+          << a.serialize() << " vs " << b.serialize();
+    }
+  }
 }
 
 TEST(ArchitectureFingerprint, StableAcrossRunsAndPlatforms) {

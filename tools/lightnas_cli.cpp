@@ -396,10 +396,10 @@ int cmd_show(const cli::Args& args) {
 }
 
 int cmd_predict(const cli::Args& args) {
-  const predictors::MlpPredictor predictor =
-      io::load_predictor(args.get("predictor", "predictor.json"));
   const space::Architecture arch =
       space::Architecture::deserialize(args.get("arch"));
+  const predictors::MlpPredictor predictor =
+      io::load_predictor(args.get("predictor", "predictor.json"));
   std::printf("%.3f %s\n", predictor.predict(arch),
               predictor.unit().c_str());
   return 0;
