@@ -68,11 +68,9 @@ predictors::MeasurementDataset make_dataset(const space::SearchSpace& space,
   util::Rng rng(1234);
   predictors::MeasurementDataset data;
   data.architectures.reserve(count);
-  data.encodings.reserve(count);
   data.targets.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     space::Architecture arch = space.random_architecture(rng);
-    data.encodings.push_back(arch.encode_one_hot(space.num_ops()));
     data.targets.push_back(model.network_latency_ms(space, arch));
     data.architectures.push_back(std::move(arch));
   }

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common.hpp"
 #include "space/flops.hpp"
@@ -65,11 +66,14 @@ int main() {
       }
     }
     if (count < 5) continue;
+    // Appended, not `"x" + std::string`: GCC 12 warns (-Wrestrict) on the
+    // insert-at-front that operator+(const char*, string&&) inlines to.
+    std::string spread = "x";
+    spread += util::fmt_double(mx / mn, 2);
     table.add_row({util::fmt_double(band_lo, 1) + " - " +
                        util::fmt_double(band_hi, 1),
                    std::to_string(count), util::fmt_double(mn, 0),
-                   util::fmt_double(mx, 0),
-                   "x" + util::fmt_double(mx / mn, 2)});
+                   util::fmt_double(mx, 0), spread});
   }
   table.print(std::cout);
 

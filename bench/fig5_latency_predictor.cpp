@@ -59,8 +59,8 @@ int main() {
                        "lut_predicted_ms"});
   for (std::size_t i = 0; i < valid.size(); ++i) {
     csv.add_row(std::vector<double>{
-        valid.targets[i], mlp.predict_encoding(valid.encodings[i]),
-        lut.predict_encoding(valid.encodings[i])});
+        valid.targets[i], mlp.predict(valid.architectures[i]),
+        lut.predict(valid.architectures[i])});
   }
   csv.write_file("fig5_latency_predictor.csv");
 

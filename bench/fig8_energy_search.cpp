@@ -44,7 +44,7 @@ int main() {
   util::CsvWriter scatter({"measured_mj", "predicted_mj"});
   for (std::size_t i = 0; i < valid.size(); ++i) {
     scatter.add_row(std::vector<double>{
-        valid.targets[i], energy.predict_encoding(valid.encodings[i])});
+        valid.targets[i], energy.predict(valid.architectures[i])});
   }
   scatter.write_file("fig8_energy_predictor.csv");
 

@@ -183,7 +183,6 @@ predictors::MlpPredictor::State train_tiny_predictor(
   const std::size_t samples = smoke ? 256 : 1024;
   for (std::size_t i = 0; i < samples; ++i) {
     space::Architecture arch = space.random_architecture(rng);
-    data.encodings.push_back(arch.encode_one_hot(space.num_ops()));
     data.targets.push_back(model.network_latency_ms(space, arch));
     data.architectures.push_back(std::move(arch));
   }

@@ -299,7 +299,10 @@ predictors::MeasurementDataset dataset_from_json(const Json& json) {
   }
   const auto num_ops = static_cast<std::size_t>(ops_field);
   predictors::MeasurementDataset data;
-  // One length across rows keeps every encoding the same width.
+  // One length across rows keeps every predictor input row the same
+  // width. Each row is checked by encoding it into `scratch`, as a
+  // predictor will; the dataset stores only architectures and targets.
+  std::vector<float> scratch;
   const std::vector<Json>& rows = json.at("rows").as_array();
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const Json& row = rows[r];
@@ -321,7 +324,8 @@ predictors::MeasurementDataset dataset_from_json(const Json& json) {
            std::to_string(data.architectures[0].num_layers()));
     }
     try {
-      data.encodings.push_back(arch.encode_one_hot(num_ops));
+      scratch.resize(arch.num_layers() * num_ops);
+      arch.encode_one_hot_into(num_ops, scratch.data());
     } catch (const std::out_of_range& e) {
       fail(e.what());
     }

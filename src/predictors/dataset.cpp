@@ -21,7 +21,6 @@ std::pair<MeasurementDataset, MeasurementDataset> MeasurementDataset::split(
   for (std::size_t i = 0; i < order.size(); ++i) {
     MeasurementDataset& dst = (i < n_first) ? first : second;
     dst.architectures.push_back(architectures[order[i]]);
-    dst.encodings.push_back(encodings[order[i]]);
     dst.targets.push_back(targets[order[i]]);
   }
   return {std::move(first), std::move(second)};
@@ -52,7 +51,6 @@ MeasurementDataset build_measurement_dataset(
   assert(biased_fraction >= 0.0 && biased_fraction <= 1.0);
   MeasurementDataset data;
   data.architectures.reserve(count);
-  data.encodings.reserve(count);
   data.targets.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     space::Architecture arch =
@@ -66,7 +64,6 @@ MeasurementDataset build_measurement_dataset(
     const double value = (metric == Metric::kLatencyMs)
                              ? device.measure_latency_ms(space, arch)
                              : device.measure_energy_mj(space, arch);
-    data.encodings.push_back(arch.encode_one_hot(space.num_ops()));
     data.architectures.push_back(std::move(arch));
     data.targets.push_back(value);
   }
@@ -140,7 +137,6 @@ MeasurementDataset build_robust_measurement_dataset(
 
   MeasurementDataset data;
   data.architectures.reserve(count);
-  data.encodings.reserve(count);
   data.targets.reserve(count);
 
   for (std::size_t i = 0; i < count; ++i) {
@@ -197,7 +193,6 @@ MeasurementDataset build_robust_measurement_dataset(
     }
     const double value =
         robust_aggregate(std::move(repeats), config.mad_threshold, local);
-    data.encodings.push_back(arch.encode_one_hot(space.num_ops()));
     data.architectures.push_back(std::move(arch));
     data.targets.push_back(value);
     ++local.kept_samples;

@@ -17,11 +17,12 @@ namespace lightnas::predictors {
 /// hardware metrics").
 enum class Metric { kLatencyMs, kEnergyMj };
 
-/// (architecture, measurement) pairs with the architectures kept around
-/// for diagnostics. Encodings are the flattened L*K one-hots of Eq (4).
+/// (architecture, measurement) pairs. The predictor's input, the
+/// flattened L*K one-hot of Eq (4), follows from each architecture's op
+/// bytes, so it is never stored: predictors write it straight into the
+/// tensor that reads it (Architecture::encode_one_hot_into).
 struct MeasurementDataset {
   std::vector<space::Architecture> architectures;
-  std::vector<std::vector<float>> encodings;
   std::vector<double> targets;
 
   std::size_t size() const { return targets.size(); }

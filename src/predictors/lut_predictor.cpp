@@ -1,6 +1,8 @@
 #include "predictors/lut_predictor.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "nn/ops.hpp"
 
@@ -55,8 +57,17 @@ nn::VarPtr LutPredictor::forward_var(const nn::VarPtr& encoding) const {
 PredictorReport LutPredictor::evaluate(const MeasurementDataset& data) const {
   std::vector<double> predicted;
   predicted.reserve(data.size());
-  for (const std::vector<float>& enc : data.encodings) {
-    predicted.push_back(predict_encoding(enc));
+  std::vector<float> row(entries_.size());
+  for (const space::Architecture& arch : data.architectures) {
+    // Checked in every build: the row holds exactly num_layers_ layers.
+    if (arch.num_layers() != num_layers_) {
+      throw std::invalid_argument(
+          "LutPredictor::evaluate: architecture has " +
+          std::to_string(arch.num_layers()) + " layers, but the table has " +
+          std::to_string(num_layers_));
+    }
+    arch.encode_one_hot_into(num_ops_, row.data());
+    predicted.push_back(predict_encoding(row));
   }
   return evaluate_predictions(predicted, data.targets);
 }

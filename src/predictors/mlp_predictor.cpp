@@ -29,6 +29,18 @@ void check_width(const char* caller, std::size_t width, std::size_t want) {
   }
 }
 
+/// The same check for an architecture, which writes num_layers * num_ops
+/// floats into its input row.
+void check_layers(const char* caller, const space::Architecture& arch,
+                  std::size_t want) {
+  if (arch.num_layers() != want) {
+    throw std::invalid_argument(std::string(caller) + ": architecture has " +
+                                std::to_string(arch.num_layers()) +
+                                " layers, but the predictor has " +
+                                std::to_string(want));
+  }
+}
+
 }  // namespace
 
 MlpPredictor::MlpPredictor(std::size_t num_layers, std::size_t num_ops,
@@ -44,21 +56,22 @@ MlpPredictor::MlpPredictor(std::size_t num_layers, std::size_t num_ops,
 double MlpPredictor::train(const MeasurementDataset& data,
                            const MlpTrainConfig& config) {
   // Checked in every build: a zero batch size would never advance the
-  // batch loop below, and an encoding of the wrong width would leave
-  // part of its row unset or write past it.
+  // batch loop below, and an architecture of the wrong layer count or
+  // with an op past num_ops would leave part of its row unset or write
+  // past it. Every row is written once here, so a bad one throws before
+  // the first step touches the weights.
   if (config.batch_size == 0) {
     throw std::invalid_argument("MlpPredictor::train: batch size must be > 0");
   }
-  if (data.size() < 2 || data.encodings.size() != data.size()) {
+  if (data.size() < 2 || data.architectures.size() != data.size()) {
     throw std::invalid_argument(
-        "MlpPredictor::train: need at least 2 samples, one encoding each");
+        "MlpPredictor::train: need at least 2 samples, one architecture "
+        "each");
   }
-  for (const std::vector<float>& enc : data.encodings) {
-    if (enc.size() != input_dim()) {
-      throw std::invalid_argument(
-          "MlpPredictor::train: encoding width does not match the "
-          "predictor's input");
-    }
+  std::vector<float> row(input_dim());
+  for (const space::Architecture& arch : data.architectures) {
+    check_layers("MlpPredictor::train", arch, num_layers_);
+    arch.encode_one_hot_into(num_ops_, row.data());
   }
 
   // Memory-reuse layer: per-epoch graphs recycle instead of reallocating
@@ -90,15 +103,14 @@ double MlpPredictor::train(const MeasurementDataset& data,
           std::min(start + config.batch_size, order.size());
       const std::size_t rows = end - start;
 
-      // Fully overwritten below — pooled hits skip the zero-fill pass.
+      // Fully overwritten below (each one-hot row zero-fills itself) —
+      // pooled hits skip the tensor's own zero-fill pass.
       nn::Tensor x = nn::Tensor::uninitialized(rows, input_dim());
       nn::Tensor y = nn::Tensor::uninitialized(rows, 1);
       for (std::size_t r = 0; r < rows; ++r) {
         const std::size_t idx = order[start + r];
-        const std::vector<float>& enc = data.encodings[idx];
-        std::copy(enc.begin(), enc.end(),
-                  x.data().begin() +
-                      static_cast<std::ptrdiff_t>(r * input_dim()));
+        data.architectures[idx].encode_one_hot_into(
+            num_ops_, x.data().data() + r * input_dim());
         y.at(r, 0) = static_cast<float>(
             (data.targets[idx] - target_mean_) / target_std_);
       }
@@ -123,16 +135,23 @@ double MlpPredictor::train(const MeasurementDataset& data,
 }
 
 double MlpPredictor::predict(const space::Architecture& arch) const {
-  return predict_encoding(arch.encode_one_hot(num_ops_));
+  check_layers("MlpPredictor::predict", arch, num_layers_);
+  nn::Tensor x = nn::Tensor::uninitialized(1, input_dim());
+  arch.encode_one_hot_into(num_ops_, x.data().data());
+  return predict_row(std::move(x));
 }
 
 double MlpPredictor::predict_encoding(
     const std::vector<float>& encoding) const {
-  assert(trained_);
   check_width("MlpPredictor::predict_encoding", encoding.size(),
               input_dim());
   nn::Tensor x = nn::Tensor::uninitialized(1, input_dim());
   std::copy(encoding.begin(), encoding.end(), x.data().begin());
+  return predict_row(std::move(x));
+}
+
+double MlpPredictor::predict_row(nn::Tensor x) const {
+  assert(trained_);
   const nn::VarPtr out = mlp_->forward(nn::make_const(std::move(x)));
   return target_mean_ +
          target_std_ * static_cast<double>(out->value.item());
@@ -144,11 +163,9 @@ std::vector<double> MlpPredictor::predict_batch(
   if (archs.empty()) return {};
   nn::Tensor x = nn::Tensor::uninitialized(archs.size(), input_dim());
   for (std::size_t r = 0; r < archs.size(); ++r) {
-    const std::vector<float> enc = archs[r].encode_one_hot(num_ops_);
-    check_width("MlpPredictor::predict_batch", enc.size(), input_dim());
-    std::copy(enc.begin(), enc.end(),
-              x.data().begin() +
-                  static_cast<std::ptrdiff_t>(r * input_dim()));
+    check_layers("MlpPredictor::predict_batch", archs[r], num_layers_);
+    archs[r].encode_one_hot_into(num_ops_,
+                                 x.data().data() + r * input_dim());
   }
   const nn::Tensor out = mlp_->forward_inference(x);
   std::vector<double> result(archs.size());
@@ -216,15 +233,17 @@ MlpPredictor MlpPredictor::from_state(const State& state) {
 
 PredictorReport MlpPredictor::evaluate(
     const MeasurementDataset& data) const {
-  if (data.encodings.size() != data.targets.size()) {
+  if (data.architectures.size() != data.targets.size()) {
     throw std::invalid_argument(
-        "MlpPredictor::evaluate: " + std::to_string(data.encodings.size()) +
-        " encodings for " + std::to_string(data.targets.size()) + " targets");
+        "MlpPredictor::evaluate: " +
+        std::to_string(data.architectures.size()) +
+        " architectures for " + std::to_string(data.targets.size()) +
+        " targets");
   }
   std::vector<double> predicted;
   predicted.reserve(data.size());
-  for (const std::vector<float>& enc : data.encodings) {
-    predicted.push_back(predict_encoding(enc));
+  for (const space::Architecture& arch : data.architectures) {
+    predicted.push_back(predict(arch));
   }
   return evaluate_predictions(predicted, data.targets);
 }

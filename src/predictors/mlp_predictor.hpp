@@ -44,19 +44,24 @@ class MlpPredictor : public HardwarePredictor {
   std::size_t input_dim() const { return num_layers_ * num_ops_; }
 
   /// Train on measurement data; returns the final epoch's training MSE
-  /// (in standardized units; diagnostics only). Throws
+  /// (in standardized units; diagnostics only). Each batch's input rows
+  /// are written straight from the architectures' op bytes. Throws
   /// std::invalid_argument for a zero batch size, fewer than two
-  /// samples, or an encoding whose width is not input_dim().
+  /// samples, or an architecture whose layer count is not the
+  /// predictor's, and std::out_of_range for an op not below num_ops —
+  /// all before the first step.
   double train(const MeasurementDataset& data, const MlpTrainConfig& config);
 
   /// Point prediction in the target's unit. Throws
-  /// std::invalid_argument for an encoding whose width is not
-  /// input_dim() (an architecture with the wrong layer count), here and
-  /// in predict_batch.
+  /// std::invalid_argument for an architecture with the wrong layer
+  /// count and std::out_of_range for an op not below num_ops, here and
+  /// in predict_batch and evaluate. predict_encoding is for callers that
+  /// already hold a row; it throws std::invalid_argument for a width
+  /// other than input_dim().
   double predict(const space::Architecture& arch) const override;
   double predict_encoding(const std::vector<float>& encoding) const;
 
-  /// True batched inference: stacks the B one-hot encodings into one
+  /// True batched inference: writes the B one-hot rows into one
   /// B x (L*K) tensor and runs a single graph-free MLP forward instead
   /// of B sequential 1-row autograd forwards. Per-row results are
   /// bit-identical to `predict`. Thread-safe (read-only on the weights);
@@ -71,9 +76,9 @@ class MlpPredictor : public HardwarePredictor {
 
   std::string unit() const override { return unit_; }
 
-  /// Evaluate on a held-out set. Throws std::invalid_argument when the
-  /// encodings and targets differ in count or an encoding has the wrong
-  /// width.
+  /// Evaluate on a held-out set, one `predict` per architecture. Throws
+  /// std::invalid_argument when the architectures and targets differ in
+  /// count, and as `predict` does for a bad architecture.
   PredictorReport evaluate(const MeasurementDataset& data) const;
 
   bool is_trained() const { return trained_; }
@@ -98,6 +103,9 @@ class MlpPredictor : public HardwarePredictor {
   static MlpPredictor from_state(const State& state);
 
  private:
+  /// The 1-row autograd forward behind predict and predict_encoding.
+  double predict_row(nn::Tensor x) const;
+
   std::size_t num_layers_;
   std::size_t num_ops_;
   std::string unit_;

@@ -140,7 +140,6 @@ std::future<double> PredictionService::submit(
 std::future<double> PredictionService::submit(
     const space::Architecture& arch, std::chrono::milliseconds deadline) {
   Request request;
-  request.arch = arch;
   request.key = arch.fingerprint();
   request.enqueued_at = std::chrono::steady_clock::now();
   request.deadline = deadline.count() > 0 ? request.enqueued_at + deadline
@@ -149,7 +148,8 @@ std::future<double> PredictionService::submit(
   // Front-door cache hit: answer on the caller's thread without touching
   // the queue at all. Under Zipf-skewed traffic this is the common case,
   // and queue + wakeup synchronization (~100us) would otherwise dwarf
-  // the lookup (~100ns). Only misses pay for micro-batching.
+  // the lookup (~100ns). Only misses pay for micro-batching, and only
+  // they copy the architecture into the request.
   if (config_.cache_capacity > 0) {
     if (const std::optional<double> hit = cache_.get(request.key)) {
       submitted_.add();
@@ -157,6 +157,7 @@ std::future<double> PredictionService::submit(
       return future;
     }
   }
+  request.arch = arch;
   // Fail fast while the breaker is open and cooling down: answer from
   // the fallback chain on the calling thread instead of queueing work
   // the backend cannot absorb.

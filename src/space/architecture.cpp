@@ -1,5 +1,6 @@
 #include "space/architecture.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
@@ -46,7 +47,13 @@ void Architecture::set_op(std::size_t layer, std::size_t op_index) {
 }
 
 std::vector<float> Architecture::encode_one_hot(std::size_t num_ops) const {
-  std::vector<float> encoding(op_indices_.size() * num_ops, 0.0f);
+  std::vector<float> encoding(op_indices_.size() * num_ops);
+  encode_one_hot_into(num_ops, encoding.data());
+  return encoding;
+}
+
+void Architecture::encode_one_hot_into(std::size_t num_ops,
+                                       float* row) const {
   for (std::size_t l = 0; l < op_indices_.size(); ++l) {
     // Checked in every build: ops come from files and the command line,
     // and one past num_ops would land in the next layer or past the end.
@@ -55,9 +62,11 @@ std::vector<float> Architecture::encode_one_hot(std::size_t num_ops) const {
                               std::to_string(op_indices_[l]) +
                               ", but num_ops is " + std::to_string(num_ops));
     }
-    encoding[l * num_ops + op_indices_[l]] = 1.0f;
   }
-  return encoding;
+  std::fill_n(row, op_indices_.size() * num_ops, 0.0f);
+  for (std::size_t l = 0; l < op_indices_.size(); ++l) {
+    row[l * num_ops + op_indices_[l]] = 1.0f;
+  }
 }
 
 Architecture Architecture::decode_one_hot(const std::vector<float>& encoding,
@@ -179,13 +188,6 @@ std::uint64_t Architecture::fingerprint() const {
     h = mix64(h ^ (static_cast<std::uint64_t>(op) + 1));
   }
   return mix64(h ^ (with_se_ ? 0x5851f42d4c957f2dULL : 0));
-}
-
-bool ArchitectureLess::operator()(const Architecture& a,
-                                  const Architecture& b) const {
-  if (a.with_se() != b.with_se()) return !a.with_se();
-  // Bytes compare as the indices they hold, without widening a copy.
-  return a.op_indices_ < b.op_indices_;
 }
 
 }  // namespace lightnas::space

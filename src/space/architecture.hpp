@@ -44,6 +44,11 @@ class Architecture {
   /// latency predictor's input representation. Throws std::out_of_range
   /// when an op is not below num_ops.
   std::vector<float> encode_one_hot(std::size_t num_ops) const;
+  /// The same encoding written into row[0, L*K): zero-fills the row and
+  /// sets one float per layer. Predictors build their input tensors with
+  /// it, so no dataset stores encodings. Throws std::out_of_range like
+  /// encode_one_hot, before writing anything.
+  void encode_one_hot_into(std::size_t num_ops, float* row) const;
 
   /// Inverse of encode_one_hot. Requires a valid one-hot per row.
   static Architecture decode_one_hot(const std::vector<float>& encoding,
@@ -73,16 +78,8 @@ class Architecture {
   bool operator==(const Architecture& other) const = default;
 
  private:
-  friend struct ArchitectureLess;
-
   std::vector<std::uint8_t> op_indices_;
   bool with_se_ = false;
-};
-
-/// Strict-weak-order so architectures can key std::map / std::set in the
-/// evolutionary baseline's dedup bookkeeping.
-struct ArchitectureLess {
-  bool operator()(const Architecture& a, const Architecture& b) const;
 };
 
 }  // namespace lightnas::space

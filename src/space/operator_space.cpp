@@ -27,7 +27,13 @@ std::string OperatorSpace::name(std::size_t index) const {
   assert(index < ops_.size());
   const Operator& o = ops_[index];
   if (o.kind == OpKind::kSkip) return "Skip";
-  return "K" + std::to_string(o.kernel) + "_E" + std::to_string(o.expansion);
+  // Appended, not `"K" + std::string`: GCC 12 warns (-Wrestrict) on the
+  // insert-at-front that operator+(const char*, string&&) inlines to.
+  std::string name = "K";
+  name += std::to_string(o.kernel);
+  name += "_E";
+  name += std::to_string(o.expansion);
+  return name;
 }
 
 std::size_t OperatorSpace::index_of(const Operator& op) const {

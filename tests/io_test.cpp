@@ -266,7 +266,7 @@ TEST_F(SerializeTest, DatasetRoundTrip) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(restored.architectures[i].ops(), data.architectures[i].ops());
     EXPECT_NEAR(restored.targets[i], data.targets[i], 1e-6);
-    EXPECT_EQ(restored.encodings[i], data.encodings[i]);
+    EXPECT_EQ(restored.architectures[i], data.architectures[i]);
   }
 }
 

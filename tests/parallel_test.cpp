@@ -145,14 +145,13 @@ predictors::MeasurementDataset synthetic_dataset(std::size_t count,
   util::Rng rng(seed);
   predictors::MeasurementDataset data;
   for (std::size_t i = 0; i < count; ++i) {
-    std::vector<float> enc(num_layers * num_ops, 0.0f);
+    std::vector<std::size_t> ops(num_layers);
     double target = 1.0;
     for (std::size_t l = 0; l < num_layers; ++l) {
-      const std::size_t op = rng.uniform_index(num_ops);
-      enc[l * num_ops + op] = 1.0f;
-      target += static_cast<double>(op) * 0.7 + rng.normal(0.0, 0.05);
+      ops[l] = rng.uniform_index(num_ops);
+      target += static_cast<double>(ops[l]) * 0.7 + rng.normal(0.0, 0.05);
     }
-    data.encodings.push_back(std::move(enc));
+    data.architectures.emplace_back(ops);
     data.targets.push_back(target);
   }
   return data;
@@ -178,7 +177,6 @@ TEST(ParallelSearch, SearchTrajectoryBitIdenticalToSerial) {
   for (std::size_t i = 0; i < 96; ++i) {
     const space::Architecture arch = space.random_architecture(enc_rng);
     data.architectures.push_back(arch);
-    data.encodings.push_back(arch.encode_one_hot(num_ops));
     data.targets.push_back(18.0 + static_cast<double>(i % 13));
   }
   predictors::MlpPredictor predictor(num_layers, num_ops, 3);

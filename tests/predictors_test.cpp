@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "nn/ops.hpp"
@@ -24,7 +25,9 @@ TEST_F(PredictorTest, DatasetBuilderShapesAndEncodings) {
   const MeasurementDataset data = build_measurement_dataset(
       space_, device_, 50, Metric::kLatencyMs, rng);
   EXPECT_EQ(data.size(), 50u);
-  for (const auto& enc : data.encodings) {
+  ASSERT_EQ(data.architectures.size(), 50u);
+  for (const space::Architecture& arch : data.architectures) {
+    const std::vector<float> enc = arch.encode_one_hot(space_.num_ops());
     ASSERT_EQ(enc.size(), space_.num_layers() * space_.num_ops());
     float total = 0.0f;
     for (float v : enc) total += v;
@@ -136,16 +139,27 @@ TEST_F(PredictorTest, TrainRejectsBadInputInEveryBuild) {
 
   MeasurementDataset one = data;
   one.architectures.resize(1);
-  one.encodings.resize(1);
   one.targets.resize(1);
   EXPECT_THROW(predictor.train(one, config), std::invalid_argument);
 
-  MeasurementDataset narrow = data;
-  narrow.encodings.back().pop_back();
-  EXPECT_THROW(predictor.train(narrow, config), std::invalid_argument);
+  MeasurementDataset missing = data;
+  missing.architectures.pop_back();
+  EXPECT_THROW(predictor.train(missing, config), std::invalid_argument);
+
+  // The last row is bad, so every check must run before the first step.
+  MeasurementDataset shallow = data;
+  shallow.architectures.back() = space::Architecture({0, 1, 2, 3, 4});
+  EXPECT_THROW(predictor.train(shallow, config), std::invalid_argument);
+
+  MeasurementDataset wide_op = data;
+  wide_op.architectures.back().set_op(3, space_.num_ops());
+  EXPECT_THROW(predictor.train(wide_op, config), std::out_of_range);
 
   EXPECT_FALSE(predictor.is_trained());
-  EXPECT_NO_THROW(predictor.train(data, config));
+  MlpPredictor fresh(space_.num_layers(), space_.num_ops(), 7);
+  fresh.train(data, config);
+  predictor.train(data, config);
+  EXPECT_EQ(predictor.export_state().tensors, fresh.export_state().tensors);
 }
 
 // Regression: the predict paths only asserted the width, so in Release
@@ -165,20 +179,96 @@ TEST_F(PredictorTest, PredictAndEvaluateRejectBadInputInEveryBuild) {
       short_arch.encode_one_hot(space_.num_ops());
   EXPECT_THROW(predictor.predict_encoding(narrow), std::invalid_argument);
   EXPECT_THROW(predictor.predict(short_arch), std::invalid_argument);
-  EXPECT_THROW(predictor.predict_batch({short_arch}), std::invalid_argument);
-  std::vector<float> wide = data.encodings.front();
+  EXPECT_THROW(predictor.predict_batch({data.architectures[0], short_arch}),
+               std::invalid_argument);
+  std::vector<float> wide =
+      data.architectures.front().encode_one_hot(space_.num_ops());
   wide.push_back(0.0f);
   EXPECT_THROW(predictor.predict_encoding(wide), std::invalid_argument);
 
   MeasurementDataset shallow = data;
-  for (std::vector<float>& enc : shallow.encodings) enc = narrow;
+  shallow.architectures.back() = short_arch;
   EXPECT_THROW(predictor.evaluate(shallow), std::invalid_argument);
+
+  // An op past num_ops would set the next layer's slot, or write past
+  // the row in the last layer.
+  space::Architecture wide_op = data.architectures.front();
+  wide_op.set_op(wide_op.num_layers() - 1, space_.num_ops());
+  EXPECT_THROW(predictor.predict(wide_op), std::out_of_range);
+  EXPECT_THROW(predictor.predict_batch({data.architectures[0], wide_op}),
+               std::out_of_range);
+  MeasurementDataset bad_op = data;
+  bad_op.architectures.back() = wide_op;
+  EXPECT_THROW(predictor.evaluate(bad_op), std::out_of_range);
 
   MeasurementDataset extra_target = data;
   extra_target.targets.push_back(1.0);
   EXPECT_THROW(predictor.evaluate(extra_target), std::invalid_argument);
 
   EXPECT_NO_THROW(predictor.evaluate(data));
+}
+
+// FNV-1a over the bit patterns of a predictor's weights and target
+// normalization.
+std::uint64_t weight_fingerprint(const MlpPredictor& predictor) {
+  const MlpPredictor::State state = predictor.export_state();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](const void* bytes, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  add(&state.target_mean, sizeof(double));
+  add(&state.target_std, sizeof(double));
+  for (const std::vector<float>& tensor : state.tensors) {
+    add(tensor.data(), tensor.size() * sizeof(float));
+  }
+  return h;
+}
+
+// Golden: training writes each batch's one-hot rows from the
+// architectures, and the weights must be bit-identical to those trained
+// from stored encodings. The value was recorded from that older build
+// (100 samples, so the last batch of 32 is partial).
+TEST_F(PredictorTest, TrainedWeightsMatchGolden) {
+  util::Rng rng(21);
+  const MeasurementDataset data = build_measurement_dataset(
+      space_, device_, 100, Metric::kLatencyMs, rng);
+  MlpPredictor predictor(space_.num_layers(), space_.num_ops(), 7);
+  MlpTrainConfig config;
+  config.epochs = 3;
+  config.batch_size = 32;
+  predictor.train(data, config);
+  EXPECT_EQ(weight_fingerprint(predictor), 0x31a86ac2f2a2e009ULL);
+}
+
+// predict_batch writes its rows into one tensor and runs the graph-free
+// forward; each answer must equal the 1-row autograd forward of predict,
+// including a repeated architecture and a batch that is not a multiple
+// of the kernel's row block.
+TEST_F(PredictorTest, PredictBatchMatchesPredictBitForBit) {
+  util::Rng rng(22);
+  const MeasurementDataset data = build_measurement_dataset(
+      space_, device_, 120, Metric::kLatencyMs, rng);
+  MlpPredictor predictor(space_.num_layers(), space_.num_ops(), 7);
+  MlpTrainConfig config;
+  config.epochs = 2;
+  predictor.train(data, config);
+
+  std::vector<space::Architecture> archs(data.architectures.begin(),
+                                         data.architectures.begin() + 37);
+  archs.push_back(archs[5]);
+  const std::vector<double> batched = predictor.predict_batch(archs);
+  ASSERT_EQ(batched.size(), archs.size());
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    EXPECT_EQ(batched[i], predictor.predict(archs[i])) << "row " << i;
+    EXPECT_EQ(batched[i],
+              predictor.predict_encoding(
+                  archs[i].encode_one_hot(space_.num_ops())))
+        << "row " << i;
+  }
 }
 
 TEST_F(PredictorTest, MlpIsDifferentiableWrtEncoding) {
@@ -218,6 +308,27 @@ TEST_F(PredictorTest, LutPredictIsSumOfEntries) {
     manual += lut.entry(l, arch.op_at(l));
   }
   EXPECT_NEAR(lut.predict(arch), manual, 1e-9);
+}
+
+// evaluate writes each architecture's row and dots it with the table: the
+// same sum, in the same layer order, as predict. A row it cannot write
+// is a typed error.
+TEST_F(PredictorTest, LutEvaluateMatchesPredictAndRejectsBadRows) {
+  const LutPredictor lut(space_, device_);
+  util::Rng rng(9);
+  MeasurementDataset data = build_measurement_dataset(
+      space_, device_, 20, Metric::kLatencyMs, rng);
+  std::vector<double> predicted;
+  for (const space::Architecture& arch : data.architectures) {
+    predicted.push_back(lut.predict(arch));
+  }
+  const PredictorReport direct = evaluate_predictions(predicted, data.targets);
+  EXPECT_EQ(lut.evaluate(data).rmse, direct.rmse);
+
+  data.architectures.back().set_op(0, space_.num_ops());
+  EXPECT_THROW(lut.evaluate(data), std::out_of_range);
+  data.architectures.back() = space::Architecture({0, 1, 2});
+  EXPECT_THROW(lut.evaluate(data), std::invalid_argument);
 }
 
 TEST_F(PredictorTest, LutShowsSystematicPositiveBias) {

@@ -233,6 +233,41 @@ TEST(PredictionService, CacheHitsForRepeatedQueries) {
   EXPECT_EQ(stats.batches, 1u);
 }
 
+// A front-door hit answers before the request copies its architecture.
+// Hits must still resolve with the cached value and move the submitted,
+// completed, cache and deadline counters as before; a miss after them
+// must still carry its architecture to the oracle.
+TEST(PredictionService, FrontDoorHitsResolveAndCountAsBefore) {
+  const space::SearchSpace space = space::SearchSpace::fbnet_xavier();
+  const predictors::MlpPredictor predictor = make_test_predictor(space);
+
+  PredictionService service(predictor);
+  util::Rng rng(26);
+  const space::Architecture hot = space.random_architecture(rng);
+  const space::Architecture cold = space.random_architecture(rng);
+  const double expected = service.submit(hot).get();
+  EXPECT_EQ(expected, predictor.predict(hot));
+
+  std::vector<std::future<double>> hits;
+  for (int i = 0; i < 20; ++i) {
+    hits.push_back(service.submit(hot, std::chrono::milliseconds(60000)));
+  }
+  for (std::future<double>& hit : hits) EXPECT_EQ(hit.get(), expected);
+  EXPECT_EQ(service.submit(cold).get(), predictor.predict(cold));
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 22u);
+  EXPECT_EQ(stats.completed, 22u);
+  EXPECT_EQ(stats.failed, 0u);
+  // Each miss looks up twice: the front door, then the worker.
+  EXPECT_EQ(stats.cache.hits, 20u);
+  EXPECT_EQ(stats.cache.misses, 4u);
+  EXPECT_EQ(stats.batches, 2u);
+  // Only the 20 hits carried a deadline, and each met it.
+  EXPECT_EQ(stats.deadline_total, 20u);
+  EXPECT_EQ(stats.deadline_hits, 20u);
+}
+
 TEST(PredictionService, ConcurrentClientsMixedHitMiss) {
   const space::SearchSpace space = space::SearchSpace::fbnet_xavier();
   const predictors::MlpPredictor predictor = make_test_predictor(space);

@@ -393,7 +393,6 @@ class SimdTrajectoryTest : public ::testing::Test {
     predictors::MeasurementDataset data;
     for (std::size_t i = 0; i < 192; ++i) {
       space::Architecture arch = space_.random_architecture(rng);
-      data.encodings.push_back(arch.encode_one_hot(space_.num_ops()));
       data.targets.push_back(model.network_latency_ms(space_, arch));
       data.architectures.push_back(std::move(arch));
     }

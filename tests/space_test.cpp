@@ -142,6 +142,28 @@ TEST(Architecture, OneHotRejectsOutOfRangeOp) {
   EXPECT_EQ(Architecture({0, 2, 1}).encode_one_hot(3).size(), 9u);
 }
 
+// The in-place form predictors build their inputs with: it must write
+// exactly encode_one_hot's floats over whatever the row held, and throw
+// before touching the row when an op is out of range.
+TEST(Architecture, OneHotIntoMatchesEncodeAndOverwritesRow) {
+  const SearchSpace space = SearchSpace::fbnet_xavier();
+  util::Rng rng(12);
+  const std::size_t width = space.num_layers() * space.num_ops();
+  std::vector<float> row(width + 1, 7.0f);  // one guard float past the row
+  for (int i = 0; i < 20; ++i) {
+    const Architecture arch = space.random_architecture(rng);
+    arch.encode_one_hot_into(space.num_ops(), row.data());
+    EXPECT_EQ(std::vector<float>(row.begin(), row.end() - 1),
+              arch.encode_one_hot(space.num_ops()));
+    EXPECT_EQ(row.back(), 7.0f);
+  }
+
+  std::vector<float> small(9, 7.0f);
+  EXPECT_THROW(Architecture({0, 1, 3}).encode_one_hot_into(3, small.data()),
+               std::out_of_range);
+  EXPECT_EQ(small, std::vector<float>(9, 7.0f));
+}
+
 TEST(Architecture, SerializeRoundTrip) {
   const SearchSpace space = SearchSpace::fbnet_xavier();
   util::Rng rng(9);
@@ -205,43 +227,6 @@ TEST(Architecture, ToStringAndDiagramMentionOps) {
   EXPECT_NE(diagram.find("stage 6"), std::string::npos);
 }
 
-TEST(Architecture, LessGivesStrictWeakOrder) {
-  const SearchSpace space = SearchSpace::fbnet_xavier();
-  util::Rng rng(10);
-  std::set<Architecture, ArchitectureLess> unique;
-  for (int i = 0; i < 40; ++i) {
-    unique.insert(space.random_architecture(rng));
-  }
-  EXPECT_GT(unique.size(), 35u);  // collisions astronomically unlikely
-  const Architecture a = space.mobilenet_v2_like();
-  ArchitectureLess less;
-  EXPECT_FALSE(less(a, a));
-}
-
-// The byte compare must order exactly as the widened op lists do, ops
-// above 127 and prefixes included.
-TEST(Architecture, LessMatchesWidenedOpOrder) {
-  util::Rng rng(11);
-  std::vector<Architecture> archs;
-  for (int i = 0; i < 60; ++i) {
-    std::vector<std::size_t> ops(1 + rng.uniform_index(3));
-    for (std::size_t& op : ops) {
-      op = rng.uniform_index(2) * 200 + rng.uniform_index(2);  // 0/1/200/201
-    }
-    archs.emplace_back(ops);
-    archs.back().set_with_se(rng.uniform_index(4) == 0);
-  }
-  const ArchitectureLess less;
-  for (const Architecture& a : archs) {
-    for (const Architecture& b : archs) {
-      const bool expected = a.with_se() != b.with_se() ? !a.with_se()
-                                                       : a.ops() < b.ops();
-      EXPECT_EQ(less(a, b), expected)
-          << a.serialize() << " vs " << b.serialize();
-    }
-  }
-}
-
 TEST(ArchitectureFingerprint, StableAcrossRunsAndPlatforms) {
   // Golden values pin the byte-level definition: any change to the
   // mixing chain silently invalidates serving caches and on-disk keys,
@@ -284,7 +269,7 @@ TEST(ArchitectureFingerprint, SensitiveToEveryField) {
 TEST(ArchitectureFingerprint, NoCollisionsOverRandomSample) {
   const SearchSpace space = SearchSpace::fbnet_xavier();
   util::Rng rng(11);
-  std::set<Architecture, ArchitectureLess> unique;
+  std::unordered_set<Architecture> unique;
   std::set<std::uint64_t> fingerprints;
   while (unique.size() < 5000) {
     const Architecture arch = space.random_architecture(rng);
