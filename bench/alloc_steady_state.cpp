@@ -85,12 +85,14 @@ struct TrainRun {
 TrainRun run_training(const space::SearchSpace& space,
                       const predictors::MeasurementDataset& data,
                       std::size_t epochs, std::size_t batch, bool pooled) {
+  // train() inherits this scope: the outer pool when pooled, else none.
+  const nn::PooledScope scope(pooled ? nn::PoolMode::kInherit
+                                     : nn::PoolMode::kDisabled);
   predictors::MlpPredictor predictor(space.num_layers(), space.num_ops(),
                                      /*seed=*/7);
   predictors::MlpTrainConfig config;
   config.epochs = epochs;
   config.batch_size = batch;
-  config.pool_tensors = pooled;
   const double start = now_seconds();
   predictor.train(data, config);
   TrainRun run;
@@ -108,7 +110,7 @@ bool states_identical(const predictors::MlpPredictor::State& a,
   return a.target_mean == b.target_mean && a.target_std == b.target_std;
 }
 
-core::LightNasConfig search_config(bool smoke, bool pooled) {
+core::LightNasConfig search_config(bool smoke) {
   core::LightNasConfig config;
   config.seed = 3;
   config.epochs = smoke ? 4 : 8;
@@ -117,7 +119,6 @@ core::LightNasConfig search_config(bool smoke, bool pooled) {
   config.alpha_steps_per_epoch = smoke ? 4 : 8;
   config.batch_size = smoke ? 16 : 32;
   config.target = 24.0;
-  config.pool_tensors = pooled;
   return config;
 }
 
@@ -125,7 +126,7 @@ core::LightNasConfig search_config(bool smoke, bool pooled) {
 /// embedded operating point (batch 8). Small batches keep per-step
 /// tensors small, which is exactly where allocator traffic dominates a
 /// step — the regime the pool is built for.
-core::LightNasConfig throughput_search_config(bool pooled) {
+core::LightNasConfig throughput_search_config() {
   core::LightNasConfig config;
   config.seed = 3;
   config.epochs = 40;
@@ -134,7 +135,6 @@ core::LightNasConfig throughput_search_config(bool pooled) {
   config.alpha_steps_per_epoch = 8;
   config.batch_size = 8;
   config.target = 24.0;
-  config.pool_tensors = pooled;
   return config;
 }
 
@@ -252,14 +252,15 @@ int main(int argc, char** argv) {
         static_cast<double>(steps_per_run) / unpooled_seconds;
     train_speedup = pooled_steps_per_s / unpooled_steps_per_s;
 
-    const core::LightNasConfig tp_config = throughput_search_config(true);
+    const core::LightNasConfig tp_config = throughput_search_config();
     const std::size_t search_steps =
         tp_config.epochs *
         (tp_config.w_steps_per_epoch + tp_config.alpha_steps_per_epoch);
     double search_unpooled_seconds = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
+      const nn::PooledScope off(nn::PoolMode::kDisabled);
       core::LightNas engine(space, predictor, task, core::SupernetConfig{},
-                            throughput_search_config(false));
+                            tp_config);
       const double start = now_seconds();
       (void)engine.search();
       search_unpooled_seconds =
@@ -270,13 +271,12 @@ int main(int argc, char** argv) {
       nn::PooledScope scope(nn::PoolMode::kFresh);
       {
         core::LightNas warm_engine(space, predictor, task,
-                                   core::SupernetConfig{},
-                                   throughput_search_config(true));
+                                   core::SupernetConfig{}, tp_config);
         (void)warm_engine.search();
       }
       for (int rep = 0; rep < 3; ++rep) {
         core::LightNas engine(space, predictor, task, core::SupernetConfig{},
-                              throughput_search_config(true));
+                              tp_config);
         const double start = now_seconds();
         (void)engine.search();
         search_pooled_seconds =
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   {
     nn::PooledScope scope(nn::PoolMode::kFresh);
     core::LightNas engine(space, predictor, task, core::SupernetConfig{},
-                          search_config(smoke, true));
+                          search_config(smoke));
     core::SearchHooks hooks;
     hooks.checkpoint_every = 1;
     hooks.on_checkpoint = [&](const core::SearchCheckpoint&) {
@@ -334,7 +334,7 @@ int main(int argc, char** argv) {
 
     const nn::PoolStats warm = scope.pool().stats();
     core::LightNas repeat(space, predictor, task, core::SupernetConfig{},
-                          search_config(smoke, true));
+                          search_config(smoke));
     repeat.search();
     search_steady = scope.pool().stats() - warm;
   }
@@ -361,8 +361,10 @@ int main(int argc, char** argv) {
       run_training(space, data, identity_epochs, 64, true).state);
 
   auto search_once = [&](bool pooled) {
+    const nn::PooledScope scope(pooled ? nn::PoolMode::kInherit
+                                       : nn::PoolMode::kDisabled);
     core::LightNas engine(space, predictor, task, core::SupernetConfig{},
-                          search_config(smoke, pooled));
+                          search_config(smoke));
     return engine.search();
   };
   const bool search_same =

@@ -262,6 +262,16 @@ io::Json arm_json(const RepStats& stats, double flops) {
   return arm;
 }
 
+/// True when the CPU has FMA, so the peak probe fuses its multiply-adds
+/// (no kernel tier does).
+bool cpu_has_fma() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("fma") != 0;
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -277,7 +287,7 @@ int main(int argc, char** argv) {
 
   const bool avx2 = nn::simd::avx2_compiled() &&
                     nn::simd::cpu_supports(nn::simd::IsaLevel::kAvx2);
-  const bool fma = avx2 && nn::simd::cpu_supports(nn::simd::IsaLevel::kAvx2Fma);
+  const bool fma = avx2 && cpu_has_fma();
   std::printf("isa: compiled_avx2=%d cpu_avx2=%d cpu_fma=%d -> default "
               "tier %s\n",
               nn::simd::avx2_compiled() ? 1 : 0, avx2 ? 1 : 0, fma ? 1 : 0,

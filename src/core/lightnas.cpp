@@ -132,14 +132,15 @@ SearchResult LightNas::search() { return search(SearchHooks{}); }
 
 SearchResult LightNas::search(const SearchHooks& hooks) {
   // Memory-reuse layer: buffers and Var nodes recycle through the
-  // active TensorPool (inherited from the caller when one is installed).
-  // Pure buffer recycling — the trajectory is bit-identical with pooling
-  // on or off.
-  nn::PooledScope pool_scope(config_.pool_tensors ? nn::PoolMode::kInherit
-                                                  : nn::PoolMode::kDisabled);
-  const nn::PoolStats pool_start = config_.pool_tensors
-                                       ? pool_scope.pool().stats()
-                                       : nn::PoolStats{};
+  // active TensorPool (inherited from the caller when one is installed;
+  // none under a caller's kDisabled scope). Pure buffer recycling — the
+  // trajectory is bit-identical with pooling on or off.
+  const nn::PooledScope pool_scope(config_.pool_tensors
+                                       ? nn::PoolMode::kInherit
+                                       : nn::PoolMode::kDisabled);
+  nn::TensorPool* const pool = nn::TensorPool::active();
+  const nn::PoolStats pool_start =
+      pool != nullptr ? pool->stats() : nn::PoolStats{};
 
   const std::size_t num_constraints = constraints_.size();
 
@@ -341,8 +342,8 @@ SearchResult LightNas::search(const SearchHooks& hooks) {
   }
   result.final_predicted_cost = result.final_costs.front();
   result.final_lambda = result.final_lambdas.front();
-  if (config_.pool_tensors) {
-    const nn::PoolStats used = pool_scope.pool().stats() - pool_start;
+  if (pool != nullptr) {
+    const nn::PoolStats used = pool->stats() - pool_start;
     result.health.pool_buffer_hits = used.buffer_hits;
     result.health.pool_buffer_misses = used.buffer_misses;
     result.health.pool_bytes_recycled = used.bytes_recycled;

@@ -3,17 +3,14 @@
 // and only ever entered through the ISA dispatch in tensor.cpp, which
 // has already checked CPUID.
 //
-// Bit-identity contract (see simd.hpp): with fma == false, every output
-// element is produced by the exact IEEE op sequence of the scalar
+// Bit-identity contract (see simd.hpp): every output element is produced by the exact IEEE op sequence of the scalar
 // kernels — a single ascending-k chain of separately rounded mul then
 // add, starting from 0.0f on the first k-tile. Vectorization is across
 // output columns (8 lanes = 8 independent chains) and row micro-tiling
 // is across output rows (independent chains again), so lane/row
 // grouping never reorders any one element's chain. -ffp-contract=off
 // keeps the compiler from fusing the separate mul/add intrinsics into
-// FMAs behind our back. With fma == true the chain's mul+add pairs
-// become single-rounded FMAs: faster and slightly more accurate, but
-// deliberately opt-in because it breaks cross-ISA reproducibility.
+// FMAs behind our back. (Only the roofline probe issues FMAs.)
 //
 // Tail handling is explicit everywhere: columns are processed in tiles
 // of 16 and 8 with a masked epilogue for n % 8 (maskload/maskstore
@@ -27,7 +24,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstddef>
 
 #include "nn/simd.hpp"
@@ -46,14 +42,9 @@ inline __m256i tail_mask(std::size_t rem) {
       reinterpret_cast<const __m256i*>(kTailMask + 8 - rem));
 }
 
-/// acc <- acc + av * bv, with the rounding mode of the active tier.
-template <bool kFma>
+/// acc <- acc + av * bv, the product rounded before the add.
 inline __m256 accumulate(__m256 acc, __m256 av, __m256 bv) {
-  if constexpr (kFma) {
-    return _mm256_fmadd_ps(av, bv, acc);
-  } else {
-    return _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
-  }
+  return _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
 }
 
 /// One k-tile of C(i, j..j+15) for up to 4 rows, accumulators held in
@@ -71,7 +62,7 @@ struct ATransposed {
 };
 
 /// Full 16-column tile over rows [i, i+ir), ir in 1..4.
-template <bool kFma, typename AView>
+template <typename AView>
 inline void tile16(const AView& av, const float* b, float* c, std::size_t n,
                    std::size_t i, std::size_t ir, std::size_t j,
                    std::size_t pb, std::size_t pe) {
@@ -90,8 +81,8 @@ inline void tile16(const AView& av, const float* b, float* c, std::size_t n,
     const __m256 b1 = _mm256_loadu_ps(b + p * n + j + 8);
     for (std::size_t r = 0; r < ir; ++r) {
       const __m256 as = _mm256_set1_ps(av.at(i + r, p));
-      acc[r][0] = accumulate<kFma>(acc[r][0], as, b0);
-      acc[r][1] = accumulate<kFma>(acc[r][1], as, b1);
+      acc[r][0] = accumulate(acc[r][0], as, b0);
+      acc[r][1] = accumulate(acc[r][1], as, b1);
     }
   }
   for (std::size_t r = 0; r < ir; ++r) {
@@ -101,7 +92,7 @@ inline void tile16(const AView& av, const float* b, float* c, std::size_t n,
 }
 
 /// One 8-column tile (full vector) over rows [i, i+ir).
-template <bool kFma, typename AView>
+template <typename AView>
 inline void tile8(const AView& av, const float* b, float* c, std::size_t n,
                   std::size_t i, std::size_t ir, std::size_t j,
                   std::size_t pb, std::size_t pe) {
@@ -114,7 +105,7 @@ inline void tile8(const AView& av, const float* b, float* c, std::size_t n,
     const __m256 b0 = _mm256_loadu_ps(b + p * n + j);
     for (std::size_t r = 0; r < ir; ++r) {
       const __m256 as = _mm256_set1_ps(av.at(i + r, p));
-      acc[r] = accumulate<kFma>(acc[r], as, b0);
+      acc[r] = accumulate(acc[r], as, b0);
     }
   }
   for (std::size_t r = 0; r < ir; ++r) {
@@ -123,7 +114,7 @@ inline void tile8(const AView& av, const float* b, float* c, std::size_t n,
 }
 
 /// Masked column tail (rem = n % 8 active lanes) over rows [i, i+ir).
-template <bool kFma, typename AView>
+template <typename AView>
 inline void tile_tail(const AView& av, const float* b, float* c,
                       std::size_t n, std::size_t i, std::size_t ir,
                       std::size_t j, std::size_t rem, std::size_t pb,
@@ -138,7 +129,7 @@ inline void tile_tail(const AView& av, const float* b, float* c,
     const __m256 b0 = _mm256_maskload_ps(b + p * n + j, mask);
     for (std::size_t r = 0; r < ir; ++r) {
       const __m256 as = _mm256_set1_ps(av.at(i + r, p));
-      acc[r] = accumulate<kFma>(acc[r], as, b0);
+      acc[r] = accumulate(acc[r], as, b0);
     }
   }
   for (std::size_t r = 0; r < ir; ++r) {
@@ -147,7 +138,7 @@ inline void tile_tail(const AView& av, const float* b, float* c,
 }
 
 /// Shared driver: rows [r0, r1) of C = A(view) * B with k-tiling `kc`.
-template <bool kFma, typename AView>
+template <typename AView>
 void gemm_rows(const AView& av, const float* b, float* c, std::size_t k,
                std::size_t n, std::size_t r0, std::size_t r1,
                std::size_t kc) {
@@ -159,15 +150,15 @@ void gemm_rows(const AView& av, const float* b, float* c, std::size_t k,
     std::size_t i = r0;
     for (; i + 4 <= r1; i += 4) {
       std::size_t j = 0;
-      for (; j < n16; j += 16) tile16<kFma>(av, b, c, n, i, 4, j, pb, pe);
-      for (; j < n8; j += 8) tile8<kFma>(av, b, c, n, i, 4, j, pb, pe);
-      if (rem != 0) tile_tail<kFma>(av, b, c, n, i, 4, j, rem, pb, pe);
+      for (; j < n16; j += 16) tile16(av, b, c, n, i, 4, j, pb, pe);
+      for (; j < n8; j += 8) tile8(av, b, c, n, i, 4, j, pb, pe);
+      if (rem != 0) tile_tail(av, b, c, n, i, 4, j, rem, pb, pe);
     }
     for (; i < r1; ++i) {
       std::size_t j = 0;
-      for (; j < n16; j += 16) tile16<kFma>(av, b, c, n, i, 1, j, pb, pe);
-      for (; j < n8; j += 8) tile8<kFma>(av, b, c, n, i, 1, j, pb, pe);
-      if (rem != 0) tile_tail<kFma>(av, b, c, n, i, 1, j, rem, pb, pe);
+      for (; j < n16; j += 16) tile16(av, b, c, n, i, 1, j, pb, pe);
+      for (; j < n8; j += 8) tile8(av, b, c, n, i, 1, j, pb, pe);
+      if (rem != 0) tile_tail(av, b, c, n, i, 1, j, rem, pb, pe);
     }
   }
 }
@@ -176,25 +167,14 @@ void gemm_rows(const AView& av, const float* b, float* c, std::size_t k,
 
 void matmul_rows_avx2(const float* a, const float* b, float* c,
                       std::size_t k, std::size_t n, std::size_t r0,
-                      std::size_t r1, std::size_t kc, bool fma) {
-  const ANormal av{a, k};
-  if (fma) {
-    gemm_rows<true>(av, b, c, k, n, r0, r1, kc);
-  } else {
-    gemm_rows<false>(av, b, c, k, n, r0, r1, kc);
-  }
+                      std::size_t r1, std::size_t kc) {
+  gemm_rows(ANormal{a, k}, b, c, k, n, r0, r1, kc);
 }
 
 void matmul_tn_rows_avx2(const float* a, const float* b, float* c,
                          std::size_t k, std::size_t m, std::size_t n,
-                         std::size_t i0, std::size_t i1, std::size_t kc,
-                         bool fma) {
-  const ATransposed av{a, m};
-  if (fma) {
-    gemm_rows<true>(av, b, c, k, n, i0, i1, kc);
-  } else {
-    gemm_rows<false>(av, b, c, k, n, i0, i1, kc);
-  }
+                         std::size_t i0, std::size_t i1, std::size_t kc) {
+  gemm_rows(ATransposed{a, m}, b, c, k, n, i0, i1, kc);
 }
 
 namespace {
@@ -212,7 +192,7 @@ namespace {
 constexpr std::size_t kNtPanelK = 256;
 
 /// Rows [i, i+ir) of one packed panel's k-tile [pb, pe), ir in 1..4.
-template <bool kFma, std::size_t kVecs>
+template <std::size_t kVecs>
 inline void nt_tile(const float* a, const float* panel, float* c,
                     std::size_t k, std::size_t n, std::size_t i,
                     std::size_t ir, std::size_t j, std::size_t pb,
@@ -233,7 +213,7 @@ inline void nt_tile(const float* a, const float* panel, float* c,
     for (std::size_t r = 0; r < ir; ++r) {
       const __m256 as = _mm256_set1_ps(a[(i + r) * k + p]);
       for (std::size_t v = 0; v < kVecs; ++v) {
-        acc[r][v] = accumulate<kFma>(acc[r][v], as, bv[v]);
+        acc[r][v] = accumulate(acc[r][v], as, bv[v]);
       }
     }
   }
@@ -245,7 +225,7 @@ inline void nt_tile(const float* a, const float* panel, float* c,
 }
 
 /// Columns [j, j + 8 * kVecs) of rows [r0, r1), panel by k-tile.
-template <bool kFma, std::size_t kVecs>
+template <std::size_t kVecs>
 void nt_panel(const float* a, const float* b, float* c, std::size_t k,
               std::size_t n, std::size_t r0, std::size_t r1, std::size_t j,
               float* panel) {
@@ -258,17 +238,19 @@ void nt_panel(const float* a, const float* b, float* c, std::size_t k,
     }
     std::size_t i = r0;
     for (; i + 4 <= r1; i += 4) {
-      nt_tile<kFma, kVecs>(a, panel, c, k, n, i, 4, j, pb, pe);
+      nt_tile<kVecs>(a, panel, c, k, n, i, 4, j, pb, pe);
     }
     for (; i < r1; ++i) {
-      nt_tile<kFma, kVecs>(a, panel, c, k, n, i, 1, j, pb, pe);
+      nt_tile<kVecs>(a, panel, c, k, n, i, 1, j, pb, pe);
     }
   }
 }
 
-template <bool kFma>
-void nt_rows(const float* a, const float* b, float* c, std::size_t k,
-             std::size_t n, std::size_t r0, std::size_t r1) {
+}  // namespace
+
+void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
+                         std::size_t k, std::size_t n, std::size_t r0,
+                         std::size_t r1) {
   if (k == 0) {  // no k-tiles: every dot is its initial 0.0f
     std::fill(c + r0 * n, c + r1 * n, 0.0f);
     return;
@@ -277,30 +259,21 @@ void nt_rows(const float* a, const float* b, float* c, std::size_t k,
   const std::size_t n8 = n - n % 8;
   const std::size_t n16 = n - n % 16;
   std::size_t j = 0;
-  for (; j < n16; j += 16) {
-    nt_panel<kFma, 2>(a, b, c, k, n, r0, r1, j, panel);
-  }
-  for (; j < n8; j += 8) {
-    nt_panel<kFma, 1>(a, b, c, k, n, r0, r1, j, panel);
-  }
-  // Column tail: plain dots (each its own ascending-p chain). With fma,
-  // std::fma keeps the tail on the same single-rounding contract.
+  for (; j < n16; j += 16) nt_panel<2>(a, b, c, k, n, r0, r1, j, panel);
+  for (; j < n8; j += 8) nt_panel<1>(a, b, c, k, n, r0, r1, j, panel);
+  // Column tail: plain dots (each its own ascending-p chain).
   for (std::size_t i = r0; i < r1; ++i) {
     const float* arow = a + i * k;
     for (std::size_t col = n8; col < n; ++col) {
       const float* brow = b + col * k;
       float dot = 0.0f;
-      if constexpr (kFma) {
-        for (std::size_t p = 0; p < k; ++p) {
-          dot = std::fma(arow[p], brow[p], dot);
-        }
-      } else {
-        for (std::size_t p = 0; p < k; ++p) dot += arow[p] * brow[p];
-      }
+      for (std::size_t p = 0; p < k; ++p) dot += arow[p] * brow[p];
       c[i * n + col] = dot;
     }
   }
 }
+
+namespace {
 
 /// 8 * kVecs columns of one C row over the gathered nonzeros of a k-tile.
 /// Eight independent chains (kVecs = 8) keep the adds' latency hidden.
@@ -316,7 +289,7 @@ inline void skip_tile(float* crow, const float* b, std::size_t n,
     const __m256 as = _mm256_set1_ps(val[q]);
     const float* brow = b + idx[q] * n;
     for (std::size_t t = 0; t < kVecs; ++t) {
-      acc[t] = accumulate<false>(acc[t], as, _mm256_loadu_ps(brow + 8 * t));
+      acc[t] = accumulate(acc[t], as, _mm256_loadu_ps(brow + 8 * t));
     }
   }
   for (std::size_t t = 0; t < kVecs; ++t) {
@@ -331,8 +304,7 @@ void matmul_zero_skip_rows_avx2(const float* a, std::size_t row_stride,
                                 float* c, std::size_t k, std::size_t n,
                                 std::size_t r0, std::size_t r1) {
   // Per row: gather the nonzero A entries of a k-tile (ascending p), then
-  // run each column tile's chains over just those B rows. Separate
-  // mul+add only — the zero-skip is exact for the non-FMA chain alone.
+  // run each column tile's chains over just those B rows.
   constexpr std::size_t kChunk = 256;
   std::size_t idx[kChunk];
   float val[kChunk];
@@ -367,7 +339,7 @@ void matmul_zero_skip_rows_avx2(const float* a, std::size_t row_stride,
         __m256 acc = first ? _mm256_setzero_ps()
                            : _mm256_maskload_ps(crow + j, mask);
         for (std::size_t q = 0; q < count; ++q) {
-          acc = accumulate<false>(acc, _mm256_set1_ps(val[q]),
+          acc = accumulate(acc, _mm256_set1_ps(val[q]),
                                   _mm256_maskload_ps(b + idx[q] * n + j,
                                                      mask));
         }
@@ -421,16 +393,6 @@ std::size_t adam_update_avx2(float* w, float* m, float* v, const float* g,
   return j;
 }
 
-void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
-                         std::size_t k, std::size_t n, std::size_t r0,
-                         std::size_t r1, bool fma) {
-  if (fma) {
-    nt_rows<true>(a, b, c, k, n, r0, r1);
-  } else {
-    nt_rows<false>(a, b, c, k, n, r0, r1);
-  }
-}
-
 void add_row_relu_rows_avx2(float* data, const float* bias,
                             std::size_t cols, std::size_t r0,
                             std::size_t r1) {
@@ -472,7 +434,9 @@ double now_seconds() {
 
 double peak_gflops_probe(double seconds) {
   if (!cpu_supports(IsaLevel::kAvx2)) return 0.0;
-  const bool fma = cpu_supports(IsaLevel::kAvx2Fma);
+  // The probe measures the machine, so it fuses when the CPU can; no
+  // kernel tier does.
+  const bool fma = __builtin_cpu_supports("fma") != 0;
   // 8 independent accumulator chains hide the FMA/add latency; per
   // iteration each chain retires 8 lanes x (2 flops fused or 2 separate
   // ops) = 16 flops.

@@ -15,6 +15,9 @@ namespace {
 // destructible) so it stays readable during thread-exit destruction of
 // other thread_locals; scopes are stack-based, so by then it is null.
 thread_local TensorPool* tl_active_pool = nullptr;
+// Set inside a kDisabled scope (until a kFresh one shadows it), so a
+// nested kInherit scope stays unpooled instead of installing a pool.
+thread_local bool tl_pool_disabled = false;
 
 // Process-wide aggregates. Every per-pool counter bump mirrors into
 // these relaxed atomics, so a cross-thread reader (serve-bench, the CLI)
@@ -101,7 +104,7 @@ AlignedVector TensorPool::acquire(std::size_t count) {
 void TensorPool::release(AlignedVector&& buffer) noexcept {
   const std::size_t capacity = buffer.capacity();
   if (capacity == 0) return;
-  if (free_bytes_ + capacity * sizeof(float) > max_free_bytes_) return;
+  if (free_bytes_ + capacity * sizeof(float) > kMaxFreeBytes) return;
   try {
     buckets_[capacity].push_back(std::move(buffer));
   } catch (...) {
@@ -138,10 +141,11 @@ PoolStats TensorPool::global_stats() {
   return stats;
 }
 
-PooledScope::PooledScope(PoolMode mode) : previous_(tl_active_pool) {
+PooledScope::PooledScope(PoolMode mode)
+    : previous_(tl_active_pool), previous_disabled_(tl_pool_disabled) {
   switch (mode) {
     case PoolMode::kInherit:
-      if (tl_active_pool == nullptr) {
+      if (tl_active_pool == nullptr && !tl_pool_disabled) {
         owned_ = new TensorPool();
         tl_active_pool = owned_;
       }
@@ -149,9 +153,11 @@ PooledScope::PooledScope(PoolMode mode) : previous_(tl_active_pool) {
     case PoolMode::kFresh:
       owned_ = new TensorPool();
       tl_active_pool = owned_;
+      tl_pool_disabled = false;
       break;
     case PoolMode::kDisabled:
       tl_active_pool = nullptr;
+      tl_pool_disabled = true;
       break;
   }
   effective_ = tl_active_pool;
@@ -159,11 +165,12 @@ PooledScope::PooledScope(PoolMode mode) : previous_(tl_active_pool) {
 
 PooledScope::~PooledScope() {
   tl_active_pool = previous_;
+  tl_pool_disabled = previous_disabled_;
   delete owned_;
 }
 
 TensorPool& PooledScope::pool() {
-  assert(effective_ != nullptr && "pool() called on a kDisabled PooledScope");
+  assert(effective_ != nullptr && "pool() called where pooling is off");
   return *effective_;
 }
 

@@ -72,7 +72,7 @@ class TensorPool {
 
   /// Return a buffer to its capacity-keyed free list. Never throws;
   /// drops the buffer on the floor (plain free) if the pool is at its
-  /// retention cap or bookkeeping cannot allocate.
+  /// retention cap (kMaxFreeBytes) or bookkeeping cannot allocate.
   void release(AlignedVector&& buffer) noexcept;
 
   /// Counters since this pool was created (thread-confined reads).
@@ -82,8 +82,8 @@ class TensorPool {
   std::size_t free_bytes() const { return free_bytes_; }
 
   /// Retention cap: release() beyond this many free bytes frees instead
-  /// of pooling. Generous default — steady-state working sets are MBs.
-  void set_max_free_bytes(std::size_t bytes) { max_free_bytes_ = bytes; }
+  /// of pooling (512 MiB). Generous — steady-state working sets are MBs.
+  static constexpr std::size_t kMaxFreeBytes = std::size_t{1} << 29;
 
   // -- called by the autograd layer -----------------------------------
   void note_node_hit();
@@ -101,23 +101,27 @@ class TensorPool {
   std::unordered_map<std::size_t, std::vector<AlignedVector>> buckets_;
   std::size_t free_bytes_ = 0;
   std::size_t free_count_ = 0;
-  std::size_t max_free_bytes_ = std::size_t{1} << 29;  // 512 MiB
   PoolStats stats_;
 };
 
 /// How a PooledScope changes the thread's active pool.
 enum class PoolMode {
   /// Keep the already-active pool if there is one; otherwise install a
-  /// fresh pool owned by this scope. What engines use by default, so a
-  /// caller-provided pool (e.g. a bench's long-lived scope) is reused
-  /// across engine invocations and reaches a shared steady state.
+  /// fresh pool owned by this scope, unless an enclosing kDisabled scope
+  /// turned pooling off on this thread. What engines, the predictor's
+  /// train() and the serve workers open, so a caller-provided pool (e.g.
+  /// a bench's long-lived scope) is reused across engine invocations and
+  /// reaches a shared steady state.
   kInherit,
   /// Always install a fresh pool owned by this scope, shadowing any
-  /// outer one (tests that need isolated counters).
+  /// outer one or an outer kDisabled (tests that need isolated
+  /// counters).
   kFresh,
-  /// Mask any outer pool: TensorPool::active() is null inside the
-  /// scope, so every allocation takes the plain heap path. This is the
-  /// "pooling off" arm of the bit-identity comparisons.
+  /// Turn pooling off on this thread: TensorPool::active() is null
+  /// inside the scope and in every kInherit scope nested in it, so
+  /// every allocation takes the plain heap path. The one way to run
+  /// unpooled: the "pooling off" arm of the bit-identity comparisons
+  /// wraps its call in this scope.
   kDisabled,
 };
 
@@ -132,12 +136,13 @@ class PooledScope {
   PooledScope(const PooledScope&) = delete;
   PooledScope& operator=(const PooledScope&) = delete;
 
-  /// The pool active inside this scope. Must not be called on a
-  /// kDisabled scope.
+  /// The pool active inside this scope. Must not be called when none is:
+  /// on a kDisabled scope or a kInherit scope nested in one.
   TensorPool& pool();
 
  private:
   TensorPool* previous_ = nullptr;
+  bool previous_disabled_ = false;
   TensorPool* owned_ = nullptr;
   TensorPool* effective_ = nullptr;
 };

@@ -1,10 +1,8 @@
 #include "nn/simd.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 #include <vector>
 
 namespace lightnas::nn::simd {
@@ -18,38 +16,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Startup resolution: explicit LIGHTNAS_ISA wins (with a stderr warning
-/// and fallback when the host cannot honour it), else the best
-/// bit-identity-preserving tier the host supports.
-IsaLevel resolve_startup_isa() {
-  const char* env = std::getenv("LIGHTNAS_ISA");
-  if (env != nullptr && env[0] != '\0') {
-    IsaLevel requested;
-    if (!parse_isa(env, &requested)) {
-      std::fprintf(stderr,
-                   "lightnas: ignoring unknown LIGHTNAS_ISA='%s' "
-                   "(expected scalar|avx2|avx2fma)\n",
-                   env);
-    } else if (requested != IsaLevel::kScalar &&
-               (!avx2_compiled() || !cpu_supports(requested))) {
-      std::fprintf(stderr,
-                   "lightnas: LIGHTNAS_ISA=%s unavailable on this "
-                   "host/build, using %s\n",
-                   isa_name(requested), isa_name(detect_best()));
-    } else {
-      return requested;
-    }
-  }
-  return detect_best();
-}
-
-std::atomic<IsaLevel>& global_slot() {
-  // Magic static: the first kernel call (or CLI flag) resolves the
-  // level exactly once, thread-safely.
-  static std::atomic<IsaLevel> slot{resolve_startup_isa()};
-  return slot;
 }
 
 }  // namespace
@@ -69,9 +35,6 @@ bool cpu_supports(IsaLevel level) {
       return true;
     case IsaLevel::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
-    case IsaLevel::kAvx2Fma:
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("fma") != 0;
   }
   return false;
 #else
@@ -81,46 +44,20 @@ bool cpu_supports(IsaLevel level) {
 
 IsaLevel detect_best() {
   if (avx2_compiled() && cpu_supports(IsaLevel::kAvx2)) {
-    return IsaLevel::kAvx2;  // never auto-select FMA: it changes results
+    return IsaLevel::kAvx2;
   }
   return IsaLevel::kScalar;
 }
 
 IsaLevel global_isa() {
-  return global_slot().load(std::memory_order_relaxed);
-}
-
-void set_global_isa(IsaLevel level) {
-  if (level != IsaLevel::kScalar) {
-    if (!avx2_compiled()) {
-      throw std::runtime_error(
-          std::string("--isa ") + isa_name(level) +
-          ": SIMD kernels were not compiled in (LIGHTNAS_SIMD=OFF or "
-          "unsupported compiler)");
-    }
-    if (!cpu_supports(level)) {
-      throw std::runtime_error(std::string("--isa ") + isa_name(level) +
-                               ": this CPU does not support it");
-    }
-  }
-  global_slot().store(level, std::memory_order_relaxed);
+  // Magic static: the first kernel call resolves the level exactly
+  // once, thread-safely.
+  static const IsaLevel level = detect_best();
+  return level;
 }
 
 IsaLevel active_isa() {
   return tl_has_override ? tl_override : global_isa();
-}
-
-bool parse_isa(const std::string& text, IsaLevel* out) {
-  if (text == "scalar") {
-    *out = IsaLevel::kScalar;
-  } else if (text == "avx2") {
-    *out = IsaLevel::kAvx2;
-  } else if (text == "avx2fma") {
-    *out = IsaLevel::kAvx2Fma;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 const char* isa_name(IsaLevel level) {
@@ -129,8 +66,6 @@ const char* isa_name(IsaLevel level) {
       return "scalar";
     case IsaLevel::kAvx2:
       return "avx2";
-    case IsaLevel::kAvx2Fma:
-      return "avx2fma";
   }
   return "?";
 }
@@ -160,17 +95,16 @@ namespace {
 }  // namespace
 
 void matmul_rows_avx2(const float*, const float*, float*, std::size_t,
-                      std::size_t, std::size_t, std::size_t, std::size_t,
-                      bool) {
+                      std::size_t, std::size_t, std::size_t, std::size_t) {
   no_avx2();
 }
 void matmul_tn_rows_avx2(const float*, const float*, float*, std::size_t,
                          std::size_t, std::size_t, std::size_t,
-                         std::size_t, std::size_t, bool) {
+                         std::size_t, std::size_t) {
   no_avx2();
 }
 void matmul_nt_rows_avx2(const float*, const float*, float*, std::size_t,
-                         std::size_t, std::size_t, std::size_t, bool) {
+                         std::size_t, std::size_t, std::size_t) {
   no_avx2();
 }
 void matmul_zero_skip_rows_avx2(const float*, std::size_t, std::size_t,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace lightnas::nn::simd {
 
@@ -13,16 +12,12 @@ namespace lightnas::nn::simd {
 /// ascending-k chain with separately rounded multiply and add (the AVX2
 /// tier vectorizes across output *columns*, which changes nothing about
 /// any one element's chain, and is compiled with -ffp-contract=off so
-/// the compiler cannot fuse the chain behind our back). kAvx2Fma swaps
-/// the chain's mul+add pairs for fused multiply-adds — one rounding per
-/// product instead of two. That is faster and *more* accurate, but not
-/// bit-identical to scalar, so it is never selected by default: search
-/// trajectories and checkpoints stay exactly reproducible across hosts
-/// unless the user opts in with --isa avx2fma / LIGHTNAS_ISA=avx2fma.
+/// the compiler cannot fuse the chain behind our back). So the host's
+/// tier is never a choice that shows in a result: search trajectories
+/// and checkpoints reproduce exactly across hosts with and without AVX2.
 enum class IsaLevel {
-  kScalar,   ///< portable C++ kernels; the identity reference
-  kAvx2,     ///< 8-wide AVX2, separate mul+add (bit-identical to scalar)
-  kAvx2Fma,  ///< 8-wide AVX2 with FMA (opt-in; not bit-identical)
+  kScalar,  ///< portable C++ kernels; the identity reference
+  kAvx2,    ///< 8-wide AVX2, separate mul+add (bit-identical to scalar)
 };
 
 /// True when the AVX2 kernels were compiled in (LIGHTNAS_SIMD=AVX2 and
@@ -30,39 +25,28 @@ enum class IsaLevel {
 /// requires CPUID support — see detect_best().
 bool avx2_compiled();
 
-/// True when the running CPU reports AVX2 (and FMA for kAvx2Fma).
+/// True when the running CPU reports the level's instructions.
 bool cpu_supports(IsaLevel level);
 
 /// Best level that is both compiled in and supported by this CPU.
-/// Never returns kAvx2Fma: FMA changes results, so it is opt-in only.
 IsaLevel detect_best();
 
-/// Process-wide selected level. Resolved once on first use:
-/// LIGHTNAS_ISA=scalar|avx2|avx2fma in the environment wins (falling
-/// back to detect_best() with a warning if unsupported), else
-/// detect_best(). Thread-safe reads.
+/// Process-wide level: detect_best(), resolved once on first use.
+/// Thread-safe reads.
 IsaLevel global_isa();
-
-/// Install a process-wide level (the CLI's --isa flag). Call during
-/// single-threaded startup. Throws std::runtime_error if the level is
-/// not compiled in / not supported by this CPU.
-void set_global_isa(IsaLevel level);
 
 /// The level the kernels dispatch on: the innermost ScopedIsa override
 /// on this thread when one is active, else global_isa(). GEMM entry
 /// points read this once per call.
 IsaLevel active_isa();
 
-/// Parse "scalar" / "avx2" / "avx2fma"; returns false on anything else.
-bool parse_isa(const std::string& text, IsaLevel* out);
-
 const char* isa_name(IsaLevel level);
 
 /// RAII thread-local override of active_isa() — how the tests and the
-/// roofline bench force a specific tier regardless of host/env. Nests;
-/// destruction restores the previous override. Unlike set_global_isa()
-/// this does not validate hardware support: forcing an unsupported
-/// tier is the caller's own SIGILL to keep.
+/// roofline bench run the scalar reference next to the host's tier.
+/// Nests; destruction restores the previous override. It does not
+/// validate hardware support: forcing an unsupported tier is the
+/// caller's own SIGILL to keep.
 class ScopedIsa {
  public:
   explicit ScopedIsa(IsaLevel level);
@@ -87,24 +71,23 @@ class ScopedIsa {
 /// C(r0..r1, :) = A(r0..r1, :) * B, A (m x k), B (k x n), kc = k-tile.
 void matmul_rows_avx2(const float* a, const float* b, float* c,
                       std::size_t k, std::size_t n, std::size_t r0,
-                      std::size_t r1, std::size_t kc, bool fma);
+                      std::size_t r1, std::size_t kc);
 
 /// C(i0..i1, :) = A^T(i0..i1, :) * B, A (k x m), B (k x n).
 void matmul_tn_rows_avx2(const float* a, const float* b, float* c,
                          std::size_t k, std::size_t m, std::size_t n,
-                         std::size_t i0, std::size_t i1, std::size_t kc,
-                         bool fma);
+                         std::size_t i0, std::size_t i1, std::size_t kc);
 
 /// C(r0..r1, :) = A(r0..r1, :) * B^T, A (m x k), B (n x k). B is packed
 /// into column panels internally (its k-tile is fixed), so there is no
 /// kc parameter.
 void matmul_nt_rows_avx2(const float* a, const float* b, float* c,
                          std::size_t k, std::size_t n, std::size_t r0,
-                         std::size_t r1, bool fma);
+                         std::size_t r1);
 
 /// C(r0..r1, :) = A * B with A's zero entries skipped; A(i, p) at
-/// a[i * row_stride + p * col_stride]. The AVX2 (non-FMA) twin of the
-/// scalar zero-skip kernel in tensor.cpp, bit-identical to it.
+/// a[i * row_stride + p * col_stride]. The AVX2 twin of the scalar
+/// zero-skip kernel in tensor.cpp, bit-identical to it.
 void matmul_zero_skip_rows_avx2(const float* a, std::size_t row_stride,
                                 std::size_t col_stride, const float* b,
                                 float* c, std::size_t k, std::size_t n,
@@ -132,9 +115,9 @@ void add_row_relu_rows_avx2(float* data, const float* bias,
 // --- roofline probes (bench/micro_benchmarks) --------------------------
 
 /// Peak sustained single-precision GFLOP/s of one core: a register-tiled
-/// FMA (or mul+add when FMA is unavailable) throughput loop. Returns 0
-/// when AVX2 is not compiled in / supported — the bench then reports the
-/// scalar probe instead.
+/// FMA (or mul+add when the CPU lacks FMA) throughput loop: it measures
+/// the machine, not a kernel tier. Returns 0 when AVX2 is not compiled
+/// in / supported — the bench then reports the scalar probe instead.
 double peak_gflops_probe(double seconds);
 
 /// Sustained read+write memory bandwidth in GB/s (STREAM-triad-style

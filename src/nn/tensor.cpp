@@ -442,10 +442,8 @@ void matmul_into(const float* a, const float* b, float* c, std::size_t m,
     return;
   }
   // ISA resolved once per call (see simd.hpp).
-  const simd::IsaLevel isa = simd::active_isa();
-  if (isa != simd::IsaLevel::kScalar) {
-    simd::matmul_rows_avx2(a, b, c, k, n, 0, m, kGemmBlock,
-                           isa == simd::IsaLevel::kAvx2Fma);
+  if (simd::active_isa() != simd::IsaLevel::kScalar) {
+    simd::matmul_rows_avx2(a, b, c, k, n, 0, m, kGemmBlock);
   } else {
     matmul_rows_scalar(a, b, c, k, n, 0, m, kGemmBlock);
   }
@@ -457,10 +455,8 @@ void matmul_tn_into(const float* a, const float* b, float* c, std::size_t k,
     std::fill(c, c + m * n, 0.0f);
     return;
   }
-  const simd::IsaLevel isa = simd::active_isa();
-  if (isa != simd::IsaLevel::kScalar) {
-    simd::matmul_tn_rows_avx2(a, b, c, k, m, n, 0, m, kGemmBlock,
-                              isa == simd::IsaLevel::kAvx2Fma);
+  if (simd::active_isa() != simd::IsaLevel::kScalar) {
+    simd::matmul_tn_rows_avx2(a, b, c, k, m, n, 0, m, kGemmBlock);
   } else {
     matmul_tn_rows_scalar(a, b, c, k, m, n, 0, m, kGemmBlock);
   }
@@ -470,10 +466,8 @@ void matmul_nt_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) {
   // The NT kernel assigns every element (dot accumulators start at 0),
   // so the output never needs a pre-fill, even for k == 0.
-  const simd::IsaLevel isa = simd::active_isa();
-  if (isa != simd::IsaLevel::kScalar) {
-    simd::matmul_nt_rows_avx2(a, b, c, k, n, 0, m,
-                              isa == simd::IsaLevel::kAvx2Fma);
+  if (simd::active_isa() != simd::IsaLevel::kScalar) {
+    simd::matmul_nt_rows_avx2(a, b, c, k, n, 0, m);
   } else {
     matmul_nt_rows_scalar(a, b, c, k, n, 0, m);
   }
@@ -559,16 +553,14 @@ void zero_skip_into(const float* a, std::size_t row_stride,
                     std::size_t col_stride, const float* b, float* c,
                     std::size_t m, std::size_t k, std::size_t n,
                     Dense dense) {
-  const simd::IsaLevel isa = simd::active_isa();
   const std::size_t nonzero = count_nonzero(a, m * k);
   // The skip pays when its work, n products per nonzero plus the k * n
   // scan of B, is at most a quarter of the dense m * k * n.
-  if (isa == simd::IsaLevel::kAvx2Fma || k == 0 ||
-      4 * (nonzero + k) > m * k || !all_finite(b, k * n)) {
+  if (k == 0 || 4 * (nonzero + k) > m * k || !all_finite(b, k * n)) {
     dense();
     return;
   }
-  if (isa != simd::IsaLevel::kScalar) {
+  if (simd::active_isa() != simd::IsaLevel::kScalar) {
     simd::matmul_zero_skip_rows_avx2(a, row_stride, col_stride, b, c, k, n,
                                      0, m);
   } else {

@@ -119,12 +119,10 @@ class Tensor {
 /// single ascending-k accumulation chain.
 ///
 /// On AVX2-capable hosts the row kernels dispatch (once per call) to
-/// the SIMD microkernels of simd.hpp. The default `avx2` tier vectorizes
-/// across output columns with separately rounded mul+add, so it
-/// preserves the per-element accumulation chain exactly — results stay
-/// bit-identical to the scalar tier (and hence to every prior release).
-/// The opt-in `avx2fma` tier fuses the chain's mul+add pairs and is NOT
-/// bit-identical; see simd.hpp for the contract and overrides.
+/// the SIMD microkernels of simd.hpp. The `avx2` tier vectorizes across
+/// output columns with separately rounded mul+add, so it preserves the
+/// per-element accumulation chain exactly — results stay bit-identical
+/// to the scalar tier (and hence to every prior release); see simd.hpp.
 
 /// C = A * B. Shapes: (m x k) * (k x n) -> (m x n).
 Tensor matmul(const Tensor& a, const Tensor& b);
@@ -141,10 +139,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// holds -0.0f, and adding a +-0 product to anything else leaves it
 /// unchanged. That needs the B factor to be finite (0 * inf is NaN), so
 /// these forms run the dense kernels instead when B holds a non-finite
-/// value, under the opt-in FMA tier (whose single-rounded chain can
-/// underflow to -0.0f), and when skipping would not pay: when the
-/// nonzero terms plus the scan of B come to more than a quarter of the
-/// dense work (few rows, or a dense A).
+/// value, and when skipping would not pay: when the nonzero terms plus
+/// the scan of B come to more than a quarter of the dense work (few
+/// rows, or a dense A).
 /// Results are bit-identical to matmul / matmul_tn on every input.
 Tensor matmul_zero_skip(const Tensor& a, const Tensor& b);
 /// C = A^T * B with A's zero entries skipped; A is (k x m).

@@ -75,10 +75,9 @@ double MlpPredictor::train(const MeasurementDataset& data,
   }
 
   // Memory-reuse layer: per-epoch graphs recycle instead of reallocating
-  // (pure buffer recycling — weights are bit-identical either way).
-  const nn::PooledScope pool_scope(config.pool_tensors
-                                       ? nn::PoolMode::kInherit
-                                       : nn::PoolMode::kDisabled);
+  // (pure buffer recycling — weights are bit-identical either way; a
+  // caller's kDisabled scope turns it off).
+  const nn::PooledScope pool_scope(nn::PoolMode::kInherit);
 
   target_mean_ = util::mean(data.targets);
   target_std_ = std::max(util::stddev(data.targets), 1e-6);

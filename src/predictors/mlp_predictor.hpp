@@ -20,10 +20,6 @@ struct MlpTrainConfig {
   std::uint64_t seed = 7;
   /// Print progress every N epochs; 0 disables logging.
   std::size_t log_every = 0;
-  /// Recycle tensor buffers / autograd graphs through a nn::TensorPool
-  /// for the duration of train() (inheriting a caller-installed pool).
-  /// Trained weights are bit-identical with pooling on or off.
-  bool pool_tensors = true;
 };
 
 /// The paper's hardware-metric predictor (Sec 3.2): a three-layer MLP

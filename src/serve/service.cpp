@@ -290,10 +290,9 @@ void PredictionService::worker_loop(WorkerSlot* slot) {
   active_workers_.add(1);
   // Per-worker tensor pool: batch inputs and forward activations are
   // created on this thread, so under steady traffic every buffer is
-  // recycled locally with no cross-thread traffic at all.
-  const nn::PooledScope pool_scope(config_.pool_tensors
-                                       ? nn::PoolMode::kInherit
-                                       : nn::PoolMode::kDisabled);
+  // recycled locally with no cross-thread traffic at all. Predictions
+  // are bit-identical with pooling on or off.
+  const nn::PooledScope pool_scope(nn::PoolMode::kInherit);
   const bool watchdogged = config_.worker_stall_timeout.count() > 0;
   for (;;) {
     slot->heartbeat.store(now_ticks(), std::memory_order_relaxed);

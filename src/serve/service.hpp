@@ -58,10 +58,6 @@ struct ServiceConfig {
   /// Expired entries are revalidated through the oracle on the next
   /// miss and remain servable by the degraded-mode stale tier.
   std::chrono::milliseconds cache_ttl{0};
-  /// Give each worker a thread-local nn::TensorPool so steady-state
-  /// batched forwards recycle their buffers instead of allocating.
-  /// Predictions are bit-identical with pooling on or off.
-  bool pool_tensors = true;
 
   // --- overload resilience -------------------------------------------
   /// Deadline applied to submit(arch) (overridable per request via

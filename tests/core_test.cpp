@@ -428,14 +428,13 @@ std::uint64_t double_bits(double value) {
   return bits;
 }
 
-/// Every ISA tier this host can run: scalar, then AVX2 and the opt-in
-/// FMA tier when compiled in and supported.
+/// Every ISA tier this host can run: scalar, then AVX2 when compiled in
+/// and supported.
 std::vector<nn::simd::IsaLevel> host_isa_tiers() {
   using nn::simd::IsaLevel;
   std::vector<IsaLevel> tiers = {IsaLevel::kScalar};
-  if (!nn::simd::avx2_compiled()) return tiers;
-  for (const IsaLevel level : {IsaLevel::kAvx2, IsaLevel::kAvx2Fma}) {
-    if (nn::simd::cpu_supports(level)) tiers.push_back(level);
+  if (nn::simd::detect_best() == IsaLevel::kAvx2) {
+    tiers.push_back(IsaLevel::kAvx2);
   }
   return tiers;
 }

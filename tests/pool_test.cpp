@@ -66,6 +66,24 @@ TEST(TensorPoolTest, DisabledScopeMasksTheOuterPool) {
   EXPECT_EQ(stats.buffer_hits + stats.buffer_misses, 0u);
 }
 
+TEST(TensorPoolTest, DisabledScopeMasksNestedInheritButNotFresh) {
+  PooledScope off(PoolMode::kDisabled);
+  {
+    PooledScope inner(PoolMode::kInherit);
+    EXPECT_EQ(TensorPool::active(), nullptr);
+    {
+      PooledScope fresh(PoolMode::kFresh);
+      ASSERT_NE(TensorPool::active(), nullptr);
+      EXPECT_EQ(TensorPool::active(), &fresh.pool());
+      // Under a fresh pool a nested kInherit pools again.
+      PooledScope nested(PoolMode::kInherit);
+      EXPECT_EQ(TensorPool::active(), &fresh.pool());
+    }
+    EXPECT_EQ(TensorPool::active(), nullptr);
+  }
+  EXPECT_EQ(TensorPool::active(), nullptr);
+}
+
 TEST(TensorPoolTest, InheritScopeReusesTheOuterPool) {
   PooledScope outer(PoolMode::kFresh);
   {
@@ -325,6 +343,8 @@ class PoolIdentityTest : public ::testing::Test {
   }
 
   core::SearchResult run_search(bool pooled) {
+    const PooledScope scope(pooled ? PoolMode::kInherit
+                                   : PoolMode::kDisabled);
     core::LightNasConfig config;
     config.target = 22.0;
     config.epochs = 4;
@@ -333,7 +353,6 @@ class PoolIdentityTest : public ::testing::Test {
     config.alpha_steps_per_epoch = 4;
     config.batch_size = 32;
     config.seed = 3;
-    config.pool_tensors = pooled;
     core::LightNas engine(space_, oracle_, task_, core::SupernetConfig{},
                           config);
     return engine.search();
@@ -395,19 +414,31 @@ TEST_F(PoolIdentityTest, TrainedPredictorWeightsAreBitIdentical) {
       predictors::build_measurement_dataset(
           space_, device, 300, predictors::Metric::kLatencyMs, rng);
 
-  auto train = [&](bool pooled) {
+  auto train = [&] {
     predictors::MlpPredictor mlp(space_.num_layers(), space_.num_ops(), 7);
     predictors::MlpTrainConfig config;
     config.epochs = 12;
     config.batch_size = 64;
-    config.pool_tensors = pooled;
     mlp.train(data, config);
     return mlp.export_state();
   };
 
-  const auto unpooled = train(false);
-  const PoolStats before = TensorPool::global_stats();
-  const auto pooled = train(true);
+  // train() opens a kInherit scope, which a caller's kDisabled scope
+  // keeps unpooled: no global pool counter moves.
+  PoolStats before = TensorPool::global_stats();
+  const auto unpooled = [&] {
+    const PooledScope off(PoolMode::kDisabled);
+    return train();
+  }();
+  const PoolStats off_delta = TensorPool::global_stats() - before;
+  EXPECT_EQ(off_delta.buffer_hits, 0u);
+  EXPECT_EQ(off_delta.buffer_misses, 0u);
+  EXPECT_EQ(off_delta.bytes_recycled, 0u);
+  EXPECT_EQ(off_delta.node_hits, 0u);
+  EXPECT_EQ(off_delta.node_misses, 0u);
+
+  before = TensorPool::global_stats();
+  const auto pooled = train();
   const PoolStats delta = TensorPool::global_stats() - before;
   EXPECT_GT(delta.buffer_hits, 0u);
 

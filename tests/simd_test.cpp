@@ -11,7 +11,6 @@
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <stdexcept>
 
 #include "core/lightnas.hpp"
 #include "hw/cost_model.hpp"
@@ -51,31 +50,28 @@ bool bits_equal(const nn::Tensor& a, const nn::Tensor& b) {
 }
 
 TEST(SimdIsa, ParseAndNameRoundTrip) {
-  IsaLevel level;
-  ASSERT_TRUE(nn::simd::parse_isa("scalar", &level));
-  EXPECT_EQ(level, IsaLevel::kScalar);
-  ASSERT_TRUE(nn::simd::parse_isa("avx2", &level));
-  EXPECT_EQ(level, IsaLevel::kAvx2);
-  ASSERT_TRUE(nn::simd::parse_isa("avx2fma", &level));
-  EXPECT_EQ(level, IsaLevel::kAvx2Fma);
-  EXPECT_FALSE(nn::simd::parse_isa("", &level));
-  EXPECT_FALSE(nn::simd::parse_isa("sse2", &level));
-  EXPECT_FALSE(nn::simd::parse_isa("AVX2", &level));
+  // No flag parses a tier any more; the names are what reports and the
+  // end-to-end benchmark print for the tier in use.
   EXPECT_STREQ(nn::simd::isa_name(IsaLevel::kScalar), "scalar");
   EXPECT_STREQ(nn::simd::isa_name(IsaLevel::kAvx2), "avx2");
-  EXPECT_STREQ(nn::simd::isa_name(IsaLevel::kAvx2Fma), "avx2fma");
+  EXPECT_STREQ(nn::simd::isa_name(nn::simd::global_isa()),
+               avx2_usable() ? "avx2" : "scalar");
 }
 
 TEST(SimdIsa, DetectBestNeverPicksFma) {
-  // FMA changes rounding, so automatic selection must never choose it —
-  // checkpoints would stop being portable across hosts.
-  const IsaLevel best = nn::simd::detect_best();
-  EXPECT_NE(best, IsaLevel::kAvx2Fma);
-  if (avx2_usable()) {
-    EXPECT_EQ(best, IsaLevel::kAvx2);
-  } else {
-    EXPECT_EQ(best, IsaLevel::kScalar);
-  }
+  // Only bit-identical tiers exist: the host picks AVX2 exactly when it
+  // is compiled in and the CPU has it, else scalar, so checkpoints stay
+  // portable across hosts.
+  EXPECT_EQ(nn::simd::detect_best(),
+            avx2_usable() ? IsaLevel::kAvx2 : IsaLevel::kScalar);
+}
+
+TEST(SimdIsa, SetGlobalValidatesSupport) {
+  // Nothing sets the process-wide tier: it is the host's best, which the
+  // CPU always supports.
+  EXPECT_EQ(nn::simd::global_isa(), nn::simd::detect_best());
+  EXPECT_TRUE(nn::simd::cpu_supports(nn::simd::global_isa()));
+  EXPECT_TRUE(nn::simd::cpu_supports(IsaLevel::kScalar));
 }
 
 TEST(SimdIsa, ScopedIsaNestsAndRestores) {
@@ -90,18 +86,6 @@ TEST(SimdIsa, ScopedIsaNestsAndRestores) {
     EXPECT_EQ(nn::simd::active_isa(), IsaLevel::kScalar);
   }
   EXPECT_EQ(nn::simd::active_isa(), ambient);
-}
-
-TEST(SimdIsa, SetGlobalValidatesSupport) {
-  const IsaLevel previous = nn::simd::global_isa();
-  // Scalar is supported everywhere.
-  nn::simd::set_global_isa(IsaLevel::kScalar);
-  EXPECT_EQ(nn::simd::global_isa(), IsaLevel::kScalar);
-  if (!avx2_usable()) {
-    EXPECT_THROW(nn::simd::set_global_isa(IsaLevel::kAvx2),
-                 std::runtime_error);
-  }
-  nn::simd::set_global_isa(previous);
 }
 
 // --- bit-identity: the contract the search trajectory rests on --------
@@ -319,20 +303,13 @@ TEST(SimdIdentity, ZeroSkipKeepsIeeeCornersOfTheDenseChain) {
 }
 
 TEST(SimdIdentity, ZeroSkipFallsBackToDenseWhereItCannotPay) {
-  // A dense A, a single row, and the FMA tier all take the dense
-  // kernels: same bits as matmul, including under FMA rounding.
+  // A dense A and a single row take the dense kernels: same bits as
+  // matmul.
   const nn::Tensor a = random_tensor(32, 30, 5);
   const nn::Tensor b = random_tensor(30, 12, 6);
   EXPECT_TRUE(bits_equal(nn::matmul(a, b), nn::matmul_zero_skip(a, b)));
   const nn::Tensor row = sparse_tensor(1, 30, 2, 7);
   EXPECT_TRUE(bits_equal(nn::matmul(row, b), nn::matmul_zero_skip(row, b)));
-  if (nn::simd::cpu_supports(IsaLevel::kAvx2Fma) &&
-      nn::simd::avx2_compiled()) {
-    const ScopedIsa fma(IsaLevel::kAvx2Fma);
-    const nn::Tensor onehot = sparse_tensor(32, 30, 2, 8);
-    EXPECT_TRUE(bits_equal(nn::matmul(onehot, b),
-                           nn::matmul_zero_skip(onehot, b)));
-  }
 }
 
 // --- aligned storage ---------------------------------------------------

@@ -27,7 +27,6 @@
 #include "cli_args.hpp"
 #include "core/lightnas.hpp"
 #include "nn/parallel.hpp"
-#include "nn/simd.hpp"
 #include "eval/accuracy_model.hpp"
 #include "io/serialize.hpp"
 #include "predictors/lut_predictor.hpp"
@@ -41,22 +40,6 @@
 using namespace lightnas;
 
 namespace {
-
-/// Install the process-wide SIMD tier from --isa (default: best
-/// bit-identity-preserving tier the host supports, overridable with
-/// LIGHTNAS_ISA in the environment). scalar and avx2 are bit-identical;
-/// avx2fma is the opt-in fused tier that trades cross-ISA
-/// reproducibility for speed.
-void install_isa(const cli::Args& args) {
-  if (!args.has("isa")) return;
-  const std::string text = args.get("isa");
-  nn::simd::IsaLevel level;
-  if (!nn::simd::parse_isa(text, &level)) {
-    throw std::runtime_error("--isa " + text +
-                             ": expected scalar|avx2|avx2fma");
-  }
-  nn::simd::set_global_isa(level);  // throws if unsupported on this host
-}
 
 hw::DeviceProfile device_by_name(const std::string& name) {
   if (name == "xavier" || name == "xavier-maxn") {
@@ -143,7 +126,6 @@ int cmd_train_predictor(const cli::Args& args) {
   config.epochs = args.get_size("epochs", 120);
   config.batch_size = args.get_size("batch", 128);
   config.log_every = args.get_size("log-every", 20);
-  config.pool_tensors = args.get("tensor-pool", "1") != "0";
   std::fprintf(stderr, "training on %zu / validating on %zu samples...\n",
                train.size(), valid.size());
   predictor.train(train, config);
@@ -191,9 +173,6 @@ int cmd_search(const cli::Args& args) {
       args.get_size("warmup", std::min<std::size_t>(config.warmup_epochs,
                                                     config.epochs / 2));
   config.log_progress = args.get("verbose", "0") != "0";
-  // Buffer/graph recycling (results are bit-identical on or off; off
-  // exists for A/B allocation debugging).
-  config.pool_tensors = args.get("tensor-pool", "1") != "0";
 
   core::SearchHooks hooks;
   core::SearchCheckpoint resume_state;
@@ -285,7 +264,6 @@ int cmd_search_campaign(const cli::Args& args) {
       "warmup", std::min<std::size_t>(config.search.warmup_epochs,
                                       config.search.epochs / 2));
   config.search.log_progress = args.get("verbose", "0") != "0";
-  config.search.pool_tensors = args.get("tensor-pool", "1") != "0";
   // Lanes for the per-job phases; results are bit-identical for any N.
   const nn::ParallelContext lanes(
       nn::ParallelConfig{args.get_size("threads", 1)});
@@ -436,7 +414,6 @@ int cmd_serve_bench(const cli::Args& args) {
   config.max_batch = args.get_size("batch", 64);
   config.queue_capacity = args.get_size("queue", 256);
   config.cache_capacity = args.get_size("cache", 1 << 16);
-  config.pool_tensors = args.get("tensor-pool", "1") != "0";
 
   // Resilience knobs (all default off: plain serve-bench is unchanged).
   config.default_deadline =
@@ -567,12 +544,12 @@ int cmd_serve_bench(const cli::Args& args) {
   table.add_row({"mean queue depth",
                  util::fmt_double(stats.queue_depth.mean(), 1)});
   table.add_row({"batches", std::to_string(stats.batches)});
-  table.add_row({"tensor-pool hit rate",
+  table.add_row({"tensor pool hit rate",
                  util::fmt_pct(100.0 * stats.pool.buffer_hit_rate()) +
                      " %"});
-  table.add_row({"tensor-pool misses",
+  table.add_row({"tensor pool misses",
                  std::to_string(stats.pool.buffer_misses)});
-  table.add_row({"tensor-pool recycled",
+  table.add_row({"tensor pool recycled",
                  util::fmt_double(
                      static_cast<double>(stats.pool.bytes_recycled) /
                          (1 << 20),
@@ -606,17 +583,6 @@ int cmd_serve_bench(const cli::Args& args) {
 void print_usage() {
   std::printf(
       "usage: lightnas <command> [--flag value ...]\n"
-      "\n"
-      "global flag (every command):\n"
-      "  --isa T         SIMD tier of the dense kernels: scalar | avx2 |\n"
-      "                  avx2fma (default: best bit-identical tier the\n"
-      "                  CPU supports; env LIGHTNAS_ISA overrides too).\n"
-      "                  scalar and avx2 are bit-identical; avx2fma is\n"
-      "                  faster but changes rounding (opt-in)\n"
-      "\n"
-      "train-predictor, search, search-campaign and serve-bench also take:\n"
-      "  --tensor-pool 0|1  recycle tensor buffers / autograd graphs\n"
-      "                  (default 1; results are bit-identical)\n"
       "\n"
       "A flag the command does not read is an error (unknown flag).\n"
       "\n"
@@ -660,8 +626,7 @@ void print_usage() {
       "                  [--storm-outliers P]\n");
 }
 
-/// One subcommand: its name, the flags it reads (besides the global
-/// --isa) and its body.
+/// One subcommand: its name, the flags it reads and its body.
 struct Command {
   const char* name;
   std::vector<std::string> flags;
@@ -676,28 +641,27 @@ const std::vector<Command>& commands() {
         "fault-transients", "fault-hangs", "fault-drift", "robust", "out"},
        cmd_measure},
       {"train-predictor",
-       {"dataset", "seed", "unit", "epochs", "batch", "log-every",
-        "tensor-pool", "out"},
+       {"dataset", "seed", "unit", "epochs", "batch", "log-every", "out"},
        cmd_train_predictor},
       {"eval-predictor", {"predictor", "dataset"}, cmd_eval_predictor},
       {"search",
        {"predictor", "target", "predictor2", "target2", "task-size", "seed",
-        "epochs", "warmup", "verbose", "tensor-pool", "resume",
-        "checkpoint-dir", "checkpoint-every", "out"},
+        "epochs", "warmup", "verbose", "resume", "checkpoint-dir",
+        "checkpoint-every", "out"},
        cmd_search},
       {"search-campaign",
        {"predictor", "targets", "tolerance", "patience", "preempt", "seed",
-        "epochs", "warmup", "verbose", "tensor-pool", "threads", "task-size",
-        "resume", "checkpoint-dir", "checkpoint-every", "out", "csv"},
+        "epochs", "warmup", "verbose", "threads", "task-size", "resume",
+        "checkpoint-dir", "checkpoint-every", "out", "csv"},
        cmd_search_campaign},
       {"show", {"result", "arch", "device", "batch"}, cmd_show},
       {"predict", {"predictor", "arch"}, cmd_predict},
       {"serve-bench",
        {"predictor", "device", "seed", "samples", "epochs", "pool", "zipf",
         "clients", "requests", "workers", "batch", "queue", "cache",
-        "tensor-pool", "deadline-ms", "overflow", "cache-ttl-ms", "breaker",
-        "stall-ms", "fallback", "storm-transients", "storm-hangs",
-        "storm-drift", "storm-outliers", "storm-hang-ms", "baseline"},
+        "deadline-ms", "overflow", "cache-ttl-ms", "breaker", "stall-ms",
+        "fallback", "storm-transients", "storm-hangs", "storm-drift",
+        "storm-outliers", "storm-hang-ms", "baseline"},
        cmd_serve_bench},
   };
   return table;
@@ -707,9 +671,8 @@ const std::vector<Command>& commands() {
 /// before any work instead of silently running with defaults.
 void reject_unknown_flags(const Command& command, const cli::Args& args) {
   for (const std::string& name : args.flag_names()) {
-    if (name != "isa" &&
-        std::find(command.flags.begin(), command.flags.end(), name) ==
-            command.flags.end()) {
+    if (std::find(command.flags.begin(), command.flags.end(), name) ==
+        command.flags.end()) {
       throw std::runtime_error("unknown flag --" + name + " for '" +
                                command.name + "'");
     }
@@ -733,7 +696,6 @@ int main(int argc, char** argv) {
     for (const Command& entry : commands()) {
       if (command != entry.name) continue;
       reject_unknown_flags(entry, args);
-      install_isa(args);
       return entry.run(args);
     }
     std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
