@@ -1,18 +1,20 @@
-// Zero-allocation steady state: after a one-train warmup of the tensor
-// pool, further same-shape training must run entirely out of recycled
-// buffers and recycled graph nodes.
+// Zero-miss steady state: after a one-train warmup of the tensor pool,
+// further same-shape training must take every tensor buffer from the
+// pool. Autograd nodes are plain heap objects and are not counted.
 //
 // Gates (exit 1 on violation):
 //  - Zero-miss (always enforced): a second predictor training run under
-//    a warmed pool adds zero buffer misses and zero node misses; a
-//    search run stops adding buffer misses after its first post-warmup
-//    epochs (the last quarter of epochs must add none).
+//    a warmed pool adds zero buffer misses; a search run stops adding
+//    buffer misses after its first post-warmup epochs (the last quarter
+//    of epochs must add none).
 //  - Bit-identity (always enforced): search trajectories and trained
 //    predictor weights are bit-identical with pooling on or off.
 //  - Throughput (full mode only): steady-state pooled *search* steps
 //    must be >= 1.3x the steps/s of the pooling-disabled arm at the
-//    paper's small-batch operating point (batch 8), where allocator and
-//    graph-node churn — not GEMM arithmetic — dominate a step. The
+//    paper's small-batch operating point (batch 8). On a 4-vCPU AVX2
+//    host full mode reads 1.05-1.31x (median 1.07x), so this gate
+//    fails in most runs: buffer churn is not what dominates a step
+//    (see ROADMAP). The
 //    pooling-off arm was measured against a build of the pre-pool
 //    commit at identical workloads and matches it, so in-binary
 //    pooled-vs-off is a faithful proxy for "vs the previous engine";
@@ -164,7 +166,7 @@ int main(int argc, char** argv) {
   smoke = smoke || bench::fast_mode();
 
   bench::banner("alloc_steady_state",
-                "pooled tensors + recycled graphs: zero-miss gate, "
+                "pooled tensor buffers: zero-miss gate, "
                 "bit-identity, steady-state throughput");
 
   const space::SearchSpace space = space::SearchSpace::fbnet_xavier();
@@ -186,14 +188,11 @@ int main(int argc, char** argv) {
     run_training(space, data, throughput_epochs, batch, true);
     train_steady = scope.pool().stats() - warm;
   }
-  const bool train_zero_miss =
-      train_steady.buffer_misses == 0 && train_steady.node_misses == 0;
+  const bool train_zero_miss = train_steady.buffer_misses == 0;
   std::printf("steady-state training (warmed pool, %zu steps):\n",
               steps_per_run);
-  std::printf("  buffer misses: %llu (required 0)   node misses: %llu "
-              "(required 0)\n",
-              static_cast<unsigned long long>(train_steady.buffer_misses),
-              static_cast<unsigned long long>(train_steady.node_misses));
+  std::printf("  buffer misses: %llu (required 0)\n",
+              static_cast<unsigned long long>(train_steady.buffer_misses));
   std::printf("  buffer hits: %llu   recycled: %.1f MB\n",
               static_cast<unsigned long long>(train_steady.buffer_hits),
               static_cast<double>(train_steady.bytes_recycled) / 1e6);
@@ -343,12 +342,10 @@ int main(int argc, char** argv) {
     std::printf(" %llu", static_cast<unsigned long long>(m));
   }
   std::printf("\n");
-  const bool search_zero_miss =
-      search_steady.buffer_misses == 0 && search_steady.node_misses == 0;
-  std::printf("repeat search under warmed pool: %llu buffer misses, %llu "
-              "node misses (required 0)\n",
-              static_cast<unsigned long long>(search_steady.buffer_misses),
-              static_cast<unsigned long long>(search_steady.node_misses));
+  const bool search_zero_miss = search_steady.buffer_misses == 0;
+  std::printf("repeat search under warmed pool: %llu buffer misses "
+              "(required 0)\n",
+              static_cast<unsigned long long>(search_steady.buffer_misses));
   if (!search_zero_miss) {
     std::printf("FAIL: warmed pool still misses during search\n");
     all_pass = false;
@@ -401,8 +398,6 @@ int main(int argc, char** argv) {
   out.set("pool_hit_rate", bench::reading(measured, hit_rate));
   out.set("steady_buffer_misses",
           io::Json(static_cast<std::size_t>(train_steady.buffer_misses)));
-  out.set("steady_node_misses",
-          io::Json(static_cast<std::size_t>(train_steady.node_misses)));
   out.set("train_zero_miss", io::Json(train_zero_miss));
   out.set("search_zero_miss", io::Json(search_zero_miss));
   out.set("bit_identical", io::Json(identity_pass));

@@ -131,7 +131,7 @@ LightNas::LightNas(const space::SearchSpace& space,
 SearchResult LightNas::search() { return search(SearchHooks{}); }
 
 SearchResult LightNas::search(const SearchHooks& hooks) {
-  // Memory-reuse layer: buffers and Var nodes recycle through the
+  // Memory-reuse layer: tensor buffers recycle through the
   // active TensorPool (inherited from the caller when one is installed;
   // none under a caller's kDisabled scope). Pure buffer recycling — the
   // trajectory is bit-identical with pooling on or off.

@@ -106,14 +106,14 @@ struct LightNasConfig {
   /// count, so a checkpoint resumes exactly under any --threads setting.
   const nn::ParallelContext* parallel = nullptr;
 
-  /// Recycle tensor buffers and autograd nodes through a nn::TensorPool
-  /// for the duration of the run (inheriting a caller-installed pool
-  /// when one is active). Steady-state steps then perform zero
-  /// allocations. Pooling only changes where buffers live, never their
-  /// contents: trajectories are bit-identical on vs off. To run
-  /// unpooled, wrap the call in a nn::PooledScope(nn::PoolMode::kDisabled);
-  /// this field is kept only for bench_e2e's search replica, which still
-  /// reads it.
+  /// Recycle tensor buffers through a nn::TensorPool for the duration
+  /// of the run (inheriting a caller-installed pool when one is
+  /// active). Steady-state steps then take every tensor buffer from the
+  /// pool; autograd nodes are plain heap objects. Pooling only changes
+  /// where buffers live, never their contents: trajectories are
+  /// bit-identical on vs off. To run unpooled, wrap the call in a
+  /// nn::PooledScope(nn::PoolMode::kDisabled); this field is kept only
+  /// for bench_e2e's search replica, which still reads it.
   bool pool_tensors = true;
 
   WatchdogConfig watchdog;

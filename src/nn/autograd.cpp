@@ -3,27 +3,17 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "nn/pool.hpp"
-
 namespace lightnas::nn {
 
 namespace {
 
-/// Thread-local state of the autograd layer: the Var free list and the
-/// traversal buffers that backward() and graph_size() reuse call to call.
+/// Thread-local traversal buffers that backward() and graph_size() reuse
+/// call to call.
 struct GraphArena {
-  std::vector<Var*> free_vars;
-
   std::vector<Var*> tape;  // parents-before-children order
   std::unordered_set<Var*> visited_scratch;
   /// The trainable leaves the last backward() wrote, in tape order.
   std::vector<Var*> leaves;
-
-  ~GraphArena() {
-    // Free-listed nodes were scrubbed on release (empty tensors, no
-    // closure, no parents), so this is a flat delete with no recursion.
-    for (Var* var : free_vars) delete var;
-  }
 };
 
 GraphArena& arena() {
@@ -31,47 +21,11 @@ GraphArena& arena() {
   return instance;
 }
 
-/// shared_ptr deleter that recycles instead of deleting while a pool is
-/// active on the destroying thread. Scrubbing releases the node's
-/// buffers to the TensorPool and drops parent references (cascading the
-/// recycling up the graph); the emptied shell keeps its vector/string
-/// capacity for the next step.
-struct VarRecycler {
-  void operator()(Var* var) const noexcept {
-    if (TensorPool::active() != nullptr) {
-      var->backward_fn.reset();
-      var->parents.clear();
-      var->name.clear();
-      var->requires_grad = false;
-      var->grad = Tensor();
-      var->value = Tensor();
-      try {
-        arena().free_vars.push_back(var);
-        return;
-      } catch (...) {
-        // bookkeeping OOM: fall through to plain delete
-      }
-    }
-    delete var;
-  }
-};
+thread_local std::size_t tl_vars_created = 0;
 
 VarPtr new_var() {
-  TensorPool* pool = TensorPool::active();
-  if (pool == nullptr) return std::make_shared<Var>();
-  GraphArena& a = arena();
-  Var* var = nullptr;
-  if (!a.free_vars.empty()) {
-    var = a.free_vars.back();
-    a.free_vars.pop_back();
-    pool->note_node_hit();
-  } else {
-    var = new Var();
-    pool->note_node_miss();
-  }
-  // Control blocks come from the thread-local block pool, so the whole
-  // handle is allocation-free in the steady state.
-  return VarPtr(var, VarRecycler{}, PooledBlockAllocator<Var>{});
+  ++tl_vars_created;
+  return std::make_shared<Var>();
 }
 
 /// Post-order DFS: parents in order, each before its children. Its visit
@@ -141,7 +95,6 @@ VarPtr make_node_impl(Tensor value, const ParentRange& parents,
                       BackwardFn backward_fn) {
   VarPtr v = new_var();
   v->value = std::move(value);
-  // assign() reuses the recycled node's vector capacity.
   v->parents.assign(parents.begin(), parents.end());
   bool any_grad = false;
   for (const VarPtr& parent : v->parents) any_grad |= parent->requires_grad;
@@ -190,5 +143,7 @@ const std::vector<Var*>& backward(const VarPtr& root) {
 std::size_t graph_size(const VarPtr& root) {
   return sorted_graph(root.get()).size();
 }
+
+std::size_t vars_created() { return tl_vars_created; }
 
 }  // namespace lightnas::nn

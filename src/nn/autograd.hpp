@@ -25,8 +25,8 @@ using VarPtr = std::shared_ptr<Var>;
 /// capture parent VarPtrs plus cached forward Tensors). The capacity
 /// below fits the largest op closure (softmax_cross_entropy: a VarPtr,
 /// a Tensor, and a label vector) with headroom; a larger capture is a
-/// compile error, not a silent heap fallback, so the zero-allocation
-/// steady state cannot regress by accident.
+/// compile error, not a silent heap fallback, so a closure never costs
+/// an allocation of its own.
 class BackwardFn {
  public:
   static constexpr std::size_t kCapacity = 96;
@@ -117,12 +117,10 @@ class BackwardFn {
 /// (parents are held by shared_ptr, so the loss root keeps the graph
 /// alive exactly as long as needed — classic RAII, no manual frees).
 ///
-/// When a TensorPool is active (see pool.hpp), "torn down" means
-/// *recycled*: the node's tensors return to the buffer pool, its closure
-/// is destroyed, and the emptied node parks on a thread-local free list
-/// for the next step's graph — so a steady-state training step performs
-/// no Var allocation at all. The recycling is invisible to users of this
-/// API; values and gradients are bit-identical either way.
+/// When a TensorPool is active (see pool.hpp), tearing a node down
+/// returns its tensors' buffers to the pool for the next step's graph;
+/// the node itself is freed. Values and gradients are bit-identical
+/// either way.
 struct Var {
   Tensor value;
   Tensor grad;  // same shape as value; lazily allocated by backward()
@@ -145,8 +143,7 @@ VarPtr make_const(Tensor value, std::string name = {});
 
 /// Create an interior node wired to `parents`. `backward_fn` is kept
 /// only if some parent requires a gradient. This is the single Var
-/// construction path for all ops: with an active TensorPool it draws
-/// the node from the recycling free list.
+/// construction path for all ops.
 VarPtr make_node(Tensor value, std::initializer_list<VarPtr> parents,
                  BackwardFn backward_fn);
 VarPtr make_node(Tensor value, const std::vector<VarPtr>& parents,
@@ -170,5 +167,10 @@ const std::vector<Var*>& backward(const VarPtr& root);
 
 /// Number of nodes reachable from `root` (diagnostics / tests).
 std::size_t graph_size(const VarPtr& root);
+
+/// Number of Vars (leaves, constants and nodes) created on the calling
+/// thread so far (diagnostics / tests: a graph-free path leaves it
+/// unchanged).
+std::size_t vars_created();
 
 }  // namespace lightnas::nn

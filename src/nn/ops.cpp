@@ -10,9 +10,6 @@ namespace lightnas::nn::ops {
 
 namespace {
 
-// Var construction (node recycling) lives in
-// nn::make_node — see autograd.hpp.
-
 /// Whether a backward closure computes `p`'s gradient at all. A Var that
 /// tracks none — a constant, or a node computed from constants only —
 /// has no backward_fn and nobody reads its grad, so its gradient is

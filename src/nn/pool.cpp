@@ -1,7 +1,6 @@
 #include "nn/pool.hpp"
 
 #include <cassert>
-#include <new>
 #include <sstream>
 #include <utility>
 
@@ -26,32 +25,11 @@ struct GlobalCounters {
   util::Counter buffer_hits;
   util::Counter buffer_misses;
   util::Counter bytes_recycled;
-  util::Counter node_hits;
-  util::Counter node_misses;
 };
 
 GlobalCounters& global_counters() {
   static GlobalCounters counters;
   return counters;
-}
-
-// Thread-local free lists for fixed-size blocks (Var nodes, shared_ptr
-// control blocks). Separate from TensorPool so recycled blocks survive
-// scope churn within a thread; memory is bounded by the peak live graph.
-struct BlockBuckets {
-  std::unordered_map<std::size_t, std::vector<void*>> by_size;
-
-  ~BlockBuckets() {
-    for (auto& [size, blocks] : by_size) {
-      (void)size;
-      for (void* block : blocks) ::operator delete(block);
-    }
-  }
-};
-
-BlockBuckets& block_buckets() {
-  thread_local BlockBuckets buckets;
-  return buckets;
 }
 
 }  // namespace
@@ -61,8 +39,6 @@ PoolStats PoolStats::operator-(const PoolStats& other) const {
   d.buffer_hits = buffer_hits - other.buffer_hits;
   d.buffer_misses = buffer_misses - other.buffer_misses;
   d.bytes_recycled = bytes_recycled - other.bytes_recycled;
-  d.node_hits = node_hits - other.node_hits;
-  d.node_misses = node_misses - other.node_misses;
   return d;
 }
 
@@ -71,8 +47,7 @@ std::string PoolStats::to_string() const {
   oss.precision(4);
   oss << "buf_hit=" << buffer_hits << " buf_miss=" << buffer_misses
       << " hit_rate=" << buffer_hit_rate()
-      << " recycled_mb=" << static_cast<double>(bytes_recycled) / (1 << 20)
-      << " node_hit=" << node_hits << " node_miss=" << node_misses;
+      << " recycled_mb=" << static_cast<double>(bytes_recycled) / (1 << 20);
   return oss.str();
 }
 
@@ -118,16 +93,6 @@ PoolStats TensorPool::stats() const { return stats_; }
 
 std::size_t TensorPool::free_buffers() const { return free_count_; }
 
-void TensorPool::note_node_hit() {
-  ++stats_.node_hits;
-  global_counters().node_hits.add();
-}
-
-void TensorPool::note_node_miss() {
-  ++stats_.node_misses;
-  global_counters().node_misses.add();
-}
-
 TensorPool* TensorPool::active() { return tl_active_pool; }
 
 PoolStats TensorPool::global_stats() {
@@ -136,8 +101,6 @@ PoolStats TensorPool::global_stats() {
   stats.buffer_hits = counters.buffer_hits.value();
   stats.buffer_misses = counters.buffer_misses.value();
   stats.bytes_recycled = counters.bytes_recycled.value();
-  stats.node_hits = counters.node_hits.value();
-  stats.node_misses = counters.node_misses.value();
   return stats;
 }
 
@@ -172,33 +135,6 @@ PooledScope::~PooledScope() {
 TensorPool& PooledScope::pool() {
   assert(effective_ != nullptr && "pool() called where pooling is off");
   return *effective_;
-}
-
-void* pooled_block_acquire(std::size_t bytes) {
-  if (bytes == 0) bytes = 1;
-  if (tl_active_pool != nullptr) {
-    auto& bucket = block_buckets().by_size[bytes];
-    if (!bucket.empty()) {
-      void* block = bucket.back();
-      bucket.pop_back();
-      return block;
-    }
-  }
-  return ::operator new(bytes);
-}
-
-void pooled_block_release(void* block, std::size_t bytes) noexcept {
-  if (block == nullptr) return;
-  if (bytes == 0) bytes = 1;
-  if (tl_active_pool != nullptr) {
-    try {
-      block_buckets().by_size[bytes].push_back(block);
-      return;
-    } catch (...) {
-      // fall through to plain delete
-    }
-  }
-  ::operator delete(block);
 }
 
 }  // namespace lightnas::nn

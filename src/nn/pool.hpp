@@ -12,16 +12,13 @@ namespace lightnas::nn {
 
 /// Allocation-telemetry counters of the memory-reuse layer. A "buffer"
 /// event is one Tensor storage acquisition (hit = recycled from a free
-/// list, miss = fresh heap allocation); a "node" event is one autograd
-/// Var acquisition. In the steady state of a fixed-shape training loop
-/// every counter but the hit counters should stop moving —
+/// list, miss = fresh heap allocation). In the steady state of a
+/// fixed-shape training loop the miss counter should stop moving —
 /// bench/alloc_steady_state gates exactly that.
 struct PoolStats {
   std::uint64_t buffer_hits = 0;
   std::uint64_t buffer_misses = 0;
   std::uint64_t bytes_recycled = 0;
-  std::uint64_t node_hits = 0;
-  std::uint64_t node_misses = 0;
   /// Always 0: backward() caches no tape. Kept for report readers.
   std::uint64_t tape_hits = 0;
   std::uint64_t tape_misses = 0;
@@ -37,17 +34,17 @@ struct PoolStats {
   std::string to_string() const;
 };
 
-/// Shape-bucketed free-list pool for Tensor storage plus the counters
-/// for Var-node recycling.
+/// Shape-bucketed free-list pool for Tensor storage — the one
+/// allocation-reuse layer. Autograd Var nodes are plain heap objects;
+/// only their tensors' buffers recycle.
 ///
 /// A pool is *thread-confined*: it is installed on the current thread
 /// with a PooledScope and consulted through TensorPool::active() by the
-/// Tensor special members and the autograd layer. Buffers are keyed by
-/// element count, so a training loop whose tensor shapes repeat step
-/// over step reaches a steady state where every acquisition is a hit
-/// and the global allocator is never entered. Because handout and
-/// recycling only move buffers between free lists — every element of an
-/// acquired buffer is overwritten before it is read — pooled and
+/// Tensor special members. Buffers are keyed by element count, so a
+/// training loop whose tensor shapes repeat step over step reaches a
+/// steady state where every buffer acquisition is a hit. Because handout
+/// and recycling only move buffers between free lists — every element
+/// of an acquired buffer is overwritten before it is read — pooled and
 /// unpooled runs are bit-identical.
 ///
 /// Buffers may migrate between threads: a Tensor created under one
@@ -84,10 +81,6 @@ class TensorPool {
   /// Retention cap: release() beyond this many free bytes frees instead
   /// of pooling (512 MiB). Generous — steady-state working sets are MBs.
   static constexpr std::size_t kMaxFreeBytes = std::size_t{1} << 29;
-
-  // -- called by the autograd layer -----------------------------------
-  void note_node_hit();
-  void note_node_miss();
 
   /// The pool installed on this thread by the innermost PooledScope
   /// (null when none is active — all pooling is then bypassed).
@@ -145,41 +138,6 @@ class PooledScope {
   bool previous_disabled_ = false;
   TensorPool* owned_ = nullptr;
   TensorPool* effective_ = nullptr;
-};
-
-/// Fixed-size block recycling for the autograd layer's shared_ptr
-/// control blocks and Var nodes. Blocks always originate from
-/// ::operator new; when a pool is active on the releasing thread they
-/// park in a thread-local size-keyed free list instead of being freed.
-void* pooled_block_acquire(std::size_t bytes);
-void pooled_block_release(void* block, std::size_t bytes) noexcept;
-
-/// STL-compatible allocator over the block pool; used as the shared_ptr
-/// control-block allocator so steady-state Var churn never calls the
-/// global allocator.
-template <typename T>
-struct PooledBlockAllocator {
-  using value_type = T;
-
-  PooledBlockAllocator() = default;
-  template <typename U>
-  PooledBlockAllocator(const PooledBlockAllocator<U>&) {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(pooled_block_acquire(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) {
-    pooled_block_release(p, n * sizeof(T));
-  }
-
-  template <typename U>
-  bool operator==(const PooledBlockAllocator<U>&) const {
-    return true;
-  }
-  template <typename U>
-  bool operator!=(const PooledBlockAllocator<U>&) const {
-    return false;
-  }
 };
 
 }  // namespace lightnas::nn

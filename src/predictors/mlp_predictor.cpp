@@ -17,20 +17,9 @@ namespace lightnas::predictors {
 
 namespace {
 
-/// Checked in every build: the forward copies an encoding into an
-/// uninitialized input row, so a narrower one would leave the row's tail
-/// unset and a wider one would overrun it.
-void check_width(const char* caller, std::size_t width, std::size_t want) {
-  if (width != want) {
-    throw std::invalid_argument(std::string(caller) + ": encoding width " +
-                                std::to_string(width) +
-                                " does not match the predictor's input "
-                                "width " + std::to_string(want));
-  }
-}
-
-/// The same check for an architecture, which writes num_layers * num_ops
-/// floats into its input row.
+/// Checked in every build: an architecture writes num_layers * num_ops
+/// floats into an uninitialized input row, so a shallower one would
+/// leave the row's tail unset and a deeper one would overrun it.
 void check_layers(const char* caller, const space::Architecture& arch,
                   std::size_t want) {
   if (arch.num_layers() != want) {
@@ -74,9 +63,9 @@ double MlpPredictor::train(const MeasurementDataset& data,
     arch.encode_one_hot_into(num_ops_, row.data());
   }
 
-  // Memory-reuse layer: per-epoch graphs recycle instead of reallocating
-  // (pure buffer recycling — weights are bit-identical either way; a
-  // caller's kDisabled scope turns it off).
+  // Memory-reuse layer: each step's tensor buffers recycle instead of
+  // reallocating (pure buffer recycling — weights are bit-identical
+  // either way; a caller's kDisabled scope turns it off).
   const nn::PooledScope pool_scope(nn::PoolMode::kInherit);
 
   target_mean_ = util::mean(data.targets);
@@ -133,24 +122,18 @@ double MlpPredictor::train(const MeasurementDataset& data,
   return last_epoch_loss;
 }
 
+void MlpPredictor::check_trained(const char* caller) const {
+  if (!trained_) {
+    throw std::logic_error(std::string(caller) +
+                           ": the predictor is not trained");
+  }
+}
+
 double MlpPredictor::predict(const space::Architecture& arch) const {
+  check_trained("MlpPredictor::predict");
   check_layers("MlpPredictor::predict", arch, num_layers_);
   nn::Tensor x = nn::Tensor::uninitialized(1, input_dim());
   arch.encode_one_hot_into(num_ops_, x.data().data());
-  return predict_row(std::move(x));
-}
-
-double MlpPredictor::predict_encoding(
-    const std::vector<float>& encoding) const {
-  check_width("MlpPredictor::predict_encoding", encoding.size(),
-              input_dim());
-  nn::Tensor x = nn::Tensor::uninitialized(1, input_dim());
-  std::copy(encoding.begin(), encoding.end(), x.data().begin());
-  return predict_row(std::move(x));
-}
-
-double MlpPredictor::predict_row(nn::Tensor x) const {
-  assert(trained_);
   const nn::VarPtr out = mlp_->forward(nn::make_const(std::move(x)));
   return target_mean_ +
          target_std_ * static_cast<double>(out->value.item());
@@ -158,7 +141,7 @@ double MlpPredictor::predict_row(nn::Tensor x) const {
 
 std::vector<double> MlpPredictor::predict_batch(
     const std::vector<space::Architecture>& archs) const {
-  assert(trained_);
+  check_trained("MlpPredictor::predict_batch");
   if (archs.empty()) return {};
   nn::Tensor x = nn::Tensor::uninitialized(archs.size(), input_dim());
   for (std::size_t r = 0; r < archs.size(); ++r) {
@@ -176,7 +159,7 @@ std::vector<double> MlpPredictor::predict_batch(
 }
 
 nn::VarPtr MlpPredictor::forward_var(const nn::VarPtr& encoding) const {
-  assert(trained_);
+  check_trained("MlpPredictor::forward_var");
   assert(encoding->value.rows() == 1);
   assert(encoding->value.cols() == input_dim());
   const nn::VarPtr normalized = mlp_->forward(encoding);
@@ -232,6 +215,7 @@ MlpPredictor MlpPredictor::from_state(const State& state) {
 
 PredictorReport MlpPredictor::evaluate(
     const MeasurementDataset& data) const {
+  check_trained("MlpPredictor::evaluate");
   if (data.architectures.size() != data.targets.size()) {
     throw std::invalid_argument(
         "MlpPredictor::evaluate: " +

@@ -48,14 +48,13 @@ class MlpPredictor : public HardwarePredictor {
   /// all before the first step.
   double train(const MeasurementDataset& data, const MlpTrainConfig& config);
 
-  /// Point prediction in the target's unit. Throws
-  /// std::invalid_argument for an architecture with the wrong layer
-  /// count and std::out_of_range for an op not below num_ops, here and
-  /// in predict_batch and evaluate. predict_encoding is for callers that
-  /// already hold a row; it throws std::invalid_argument for a width
-  /// other than input_dim().
+  /// Point prediction in the target's unit. Throws std::logic_error
+  /// when the predictor is not trained (here, in predict_batch,
+  /// forward_var and evaluate, before any work), std::invalid_argument
+  /// for an architecture with the wrong layer count and
+  /// std::out_of_range for an op not below num_ops (here, in
+  /// predict_batch and in evaluate).
   double predict(const space::Architecture& arch) const override;
-  double predict_encoding(const std::vector<float>& encoding) const;
 
   /// True batched inference: writes the B one-hot rows into one
   /// B x (L*K) tensor and runs a single graph-free MLP forward instead
@@ -99,8 +98,8 @@ class MlpPredictor : public HardwarePredictor {
   static MlpPredictor from_state(const State& state);
 
  private:
-  /// The 1-row autograd forward behind predict and predict_encoding.
-  double predict_row(nn::Tensor x) const;
+  /// Throws std::logic_error naming `caller` unless trained.
+  void check_trained(const char* caller) const;
 
   std::size_t num_layers_;
   std::size_t num_ops_;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
+#include "io/serialize.hpp"
 #include "nn/ops.hpp"
 #include "predictors/lut_predictor.hpp"
 #include "predictors/mlp_predictor.hpp"
@@ -175,16 +178,15 @@ TEST_F(PredictorTest, PredictAndEvaluateRejectBadInputInEveryBuild) {
   predictor.train(data, config);
 
   const space::Architecture short_arch({0, 1, 2, 3, 4});
-  const std::vector<float> narrow =
-      short_arch.encode_one_hot(space_.num_ops());
-  EXPECT_THROW(predictor.predict_encoding(narrow), std::invalid_argument);
   EXPECT_THROW(predictor.predict(short_arch), std::invalid_argument);
   EXPECT_THROW(predictor.predict_batch({data.architectures[0], short_arch}),
                std::invalid_argument);
-  std::vector<float> wide =
-      data.architectures.front().encode_one_hot(space_.num_ops());
-  wide.push_back(0.0f);
-  EXPECT_THROW(predictor.predict_encoding(wide), std::invalid_argument);
+  std::vector<std::size_t> deep_ops = data.architectures.front().ops();
+  deep_ops.push_back(0);
+  const space::Architecture deep_arch(deep_ops);
+  EXPECT_THROW(predictor.predict(deep_arch), std::invalid_argument);
+  EXPECT_THROW(predictor.predict_batch({data.architectures[0], deep_arch}),
+               std::invalid_argument);
 
   MeasurementDataset shallow = data;
   shallow.architectures.back() = short_arch;
@@ -264,10 +266,32 @@ TEST_F(PredictorTest, PredictBatchMatchesPredictBitForBit) {
   ASSERT_EQ(batched.size(), archs.size());
   for (std::size_t i = 0; i < archs.size(); ++i) {
     EXPECT_EQ(batched[i], predictor.predict(archs[i])) << "row " << i;
-    EXPECT_EQ(batched[i],
-              predictor.predict_encoding(
-                  archs[i].encode_one_hot(space_.num_ops())))
-        << "row " << i;
+  }
+}
+
+// Regression: predict, predict_batch and forward_var only asserted that
+// the predictor was trained, and io::load_predictor accepts
+// "trained": false, so in Release `lightnas predict` on such a file
+// printed the untrained network's answer and exited 0.
+TEST_F(PredictorTest, UntrainedPredictorThrowsInEveryBuild) {
+  const MlpPredictor fresh(space_.num_layers(), space_.num_ops(), 7);
+  const std::string file =
+      ::testing::TempDir() + "untrained_predictor_test.json";
+  io::save_predictor(file, fresh);
+  const MlpPredictor reloaded = io::load_predictor(file);
+  std::remove(file.c_str());
+
+  const space::Architecture arch = space_.uniform_architecture(0);
+  for (const MlpPredictor* predictor : {&fresh, &reloaded}) {
+    ASSERT_FALSE(predictor->is_trained());
+    EXPECT_THROW(predictor->predict(arch), std::logic_error);
+    EXPECT_THROW(predictor->predict_batch({arch}), std::logic_error);
+    EXPECT_THROW(predictor->predict_batch({}), std::logic_error);
+    EXPECT_THROW(predictor->forward_var(nn::make_const(
+                     nn::Tensor(1, predictor->input_dim()))),
+                 std::logic_error);
+    EXPECT_THROW(predictor->evaluate(MeasurementDataset{}),
+                 std::logic_error);
   }
 }
 

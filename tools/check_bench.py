@@ -50,7 +50,6 @@ SCHEMAS = {
             "search_speedup": READING,
             "pool_hit_rate": READING,
             "steady_buffer_misses": NUM,
-            "steady_node_misses": NUM,
             "peak_rss_bytes": NUM,
         },
         "gates": {
