@@ -1,5 +1,7 @@
 #include "io/json.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -164,6 +166,37 @@ std::size_t Json::size() const {
 
 namespace {
 
+// The characters a JSON string cannot hold raw.
+constexpr std::array<bool, 256> kNeedsEscape = [] {
+  std::array<bool, 256> escape{};
+  for (int c = 0; c < 0x20; ++c) escape[c] = true;
+  escape['"'] = escape['\\'] = true;
+  return escape;
+}();
+
+// The first character in [p, end) that kNeedsEscape flags, or `end`.
+// Tests eight bytes at a time, since a checkpoint's strings are
+// megabytes of base64. Each test is exact: (x - 0x01..) & ~x & 0x80..
+// is non-zero iff some byte of x is zero, and with 0x20 in place of
+// 0x01 iff some byte is below 0x20.
+const char* skip_plain(const char* p, const char* end) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHighs = kOnes * 0x80;
+  const auto has_below = [](std::uint64_t x, std::uint64_t n) {
+    return (x - kOnes * n) & ~x & kHighs;
+  };
+  for (; end - p >= 8; p += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, sizeof w);
+    if ((has_below(w, 0x20) | has_below(w ^ (kOnes * '"'), 1) |
+         has_below(w ^ (kOnes * '\\'), 1)) != 0) {
+      break;
+    }
+  }
+  while (p != end && !kNeedsEscape[static_cast<unsigned char>(*p)]) ++p;
+  return p;
+}
+
 /// One-pass serializer. Appends to a buffer; with a file attached, hands
 /// the buffer to the file every kFlushBytes, so writing a checkpoint
 /// never holds more than one buffer of its text.
@@ -220,23 +253,28 @@ class Writer {
     if (file_ != nullptr && buf_.size() >= kFlushBytes) flush();
   }
 
+  // Runs of characters that need no escape go out with one append: a
+  // checkpoint is mostly base64 tensor strings, millions of plain bytes.
   void string(const std::string& s) {
     buf_ += '"';
-    for (char c : s) {
-      switch (c) {
+    const char* p = s.data();
+    const char* const end = p + s.size();
+    while (true) {
+      const char* stop = skip_plain(p, end);
+      buf_.append(p, stop);
+      if (stop == end) break;
+      p = stop + 1;
+      switch (const char c = *stop) {
         case '"': buf_ += "\\\""; break;
         case '\\': buf_ += "\\\\"; break;
         case '\n': buf_ += "\\n"; break;
         case '\t': buf_ += "\\t"; break;
         case '\r': buf_ += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-            buf_ += esc;
-          } else {
-            buf_ += c;
-          }
+        default: {
+          char esc[8];
+          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
+          buf_ += esc;
+        }
       }
     }
     buf_ += '"';
@@ -382,50 +420,67 @@ class Parser {
     }
   }
 
+  // Copies each run of plain characters with one append; only escapes
+  // and control characters go one at a time.
   std::string parse_string() {
     expect('"');
     std::string out;
     while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
+      const char* run = text_.data() + pos_;
+      const char* stop = skip_plain(run, text_.data() + text_.size());
+      out.append(run, stop);
+      pos_ = static_cast<std::size_t>(stop - text_.data());
+      if (pos_ == text_.size()) fail("unterminated string");
+      const char c = text_[pos_++];
       if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("bad escape");
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            const auto code =
-                static_cast<unsigned>(std::stoul(hex, nullptr, 16));
-            // We only emit \u for control chars; decode BMP as UTF-8.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
+      if (c != '\\') {  // a raw control character, kept as it is
         out += c;
+        continue;
+      }
+      if (pos_ >= text_.size()) fail("bad escape");
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          const unsigned code = hex4();
+          // We only emit \u for control chars; decode BMP as UTF-8.
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
+        }
+        default: fail("unknown escape");
       }
     }
+  }
+
+  // The four hex digits of a \u escape, exactly: no sign, space or
+  // short form.
+  unsigned hex4() {
+    const char* first = text_.data() + pos_;
+    const bool ok =
+        pos_ + 4 <= text_.size() && std::all_of(first, first + 4, [](char c) {
+          return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+        });
+    if (!ok) fail("bad \\u escape");
+    unsigned code = 0;
+    std::from_chars(first, first + 4, code, 16);
+    pos_ += 4;
+    return code;
   }
 
   bool digits() {
@@ -492,13 +547,6 @@ Json Json::from_doubles(const std::vector<double>& values) {
   return arr;
 }
 
-Json Json::from_floats(std::span<const float> values) {
-  Json arr = Json::array();
-  arr.array_->reserve(values.size());
-  for (float v : values) arr.array_->emplace_back(static_cast<double>(v));
-  return arr;
-}
-
 double Json::number_or_nan() const {
   if (type_ == Type::kNull) {
     return std::numeric_limits<double>::quiet_NaN();
@@ -510,15 +558,6 @@ std::vector<double> Json::to_doubles() const {
   std::vector<double> out;
   out.reserve(as_array().size());
   for (const Json& v : as_array()) out.push_back(v.number_or_nan());
-  return out;
-}
-
-std::vector<float> Json::to_floats() const {
-  std::vector<float> out;
-  out.reserve(as_array().size());
-  for (const Json& v : as_array()) {
-    out.push_back(static_cast<float>(v.number_or_nan()));
-  }
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -10,13 +9,12 @@ namespace lightnas::io {
 
 /// Minimal JSON document model — enough to persist predictors, datasets
 /// and search results without external dependencies. Numbers are stored
-/// as double (round-trip safe for the float32 weights we serialize);
-/// object keys keep insertion order irrelevant (std::map).
+/// as double; object keys keep insertion order irrelevant (std::map).
 ///
 /// A node is 16 bytes: a type tag plus one 8-byte payload. Booleans and
 /// numbers live inline; a string, array or object sits behind one owning
-/// pointer (deep copy, cheap move). Checkpoints are mostly flat float
-/// arrays, so each float costs one 16-byte node.
+/// pointer (deep copy, cheap move). Float tensors are not arrays of
+/// nodes: io::detail::tensor_to_json packs each into one base64 string.
 class Json {
  public:
   enum class Type : std::uint8_t {
@@ -75,9 +73,7 @@ class Json {
 
   // --- convenience for numeric vectors --------------------------------
   static Json from_doubles(const std::vector<double>& values);
-  static Json from_floats(std::span<const float> values);
   std::vector<double> to_doubles() const;
-  std::vector<float> to_floats() const;
 
  private:
   void check_type(Type expected) const;

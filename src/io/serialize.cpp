@@ -1,7 +1,11 @@
 #include "io/serialize.hpp"
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace lightnas::io {
@@ -9,7 +13,156 @@ namespace lightnas::io {
 namespace detail {
 
 namespace {
+
 constexpr int kFormatVersion = 1;
+
+constexpr char kBase64[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+constexpr std::uint8_t kNotBase64 = 64;
+
+// Each character's 6-bit value, or kNotBase64.
+constexpr std::array<std::uint8_t, 256> kBase64Values = [] {
+  std::array<std::uint8_t, 256> values{};
+  values.fill(kNotBase64);
+  for (std::uint8_t i = 0; i < 64; ++i) {
+    values[static_cast<unsigned char>(kBase64[i])] = i;
+  }
+  return values;
+}();
+
+// Writes the four base64 characters of the bytes b0 b1 b2.
+char* put_base64_group(char* out, std::uint32_t b0, std::uint32_t b1,
+                       std::uint32_t b2) {
+  const std::uint32_t group = b0 << 16 | b1 << 8 | b2;
+  out[0] = kBase64[group >> 18];
+  out[1] = kBase64[(group >> 12) & 63];
+  out[2] = kBase64[(group >> 6) & 63];
+  out[3] = kBase64[group & 63];
+  return out + 4;
+}
+
+// Standard base64 (RFC 4648, '=' padded) of the values' binary32 bit
+// patterns laid out little-endian, whatever the host's byte order.
+std::string encode_f32(std::span<const float> values) {
+  std::string text((values.size() * 4 + 2) / 3 * 4, '=');
+  char* out = text.data();
+  std::size_t i = 0;
+  // Three floats are twelve bytes, four whole groups. Reading them into
+  // locals first lets the character stores run without reloading them.
+  for (; i + 3 <= values.size(); i += 3) {
+    const auto a = std::bit_cast<std::uint32_t>(values[i]);
+    const auto b = std::bit_cast<std::uint32_t>(values[i + 1]);
+    const auto c = std::bit_cast<std::uint32_t>(values[i + 2]);
+    out = put_base64_group(out, a & 0xff, a >> 8 & 0xff, a >> 16 & 0xff);
+    out = put_base64_group(out, a >> 24, b & 0xff, b >> 8 & 0xff);
+    out = put_base64_group(out, b >> 16 & 0xff, b >> 24, c & 0xff);
+    out = put_base64_group(out, c >> 8 & 0xff, c >> 16 & 0xff, c >> 24);
+  }
+  // One or two floats left: one or two whole groups, then a padded one.
+  const std::size_t left = values.size() - i;
+  if (left == 0) return text;
+  const auto a = std::bit_cast<std::uint32_t>(values[i]);
+  const std::uint32_t b =
+      left == 2 ? std::bit_cast<std::uint32_t>(values[i + 1]) : 0;
+  out = put_base64_group(out, a & 0xff, a >> 8 & 0xff, a >> 16 & 0xff);
+  if (left == 2) {
+    out = put_base64_group(out, a >> 24, b & 0xff, b >> 8 & 0xff);
+    put_base64_group(out, b >> 16 & 0xff, b >> 24, 0);
+    out[3] = '=';
+  } else {
+    put_base64_group(out, a >> 24, 0, 0);
+    out[2] = out[3] = '=';
+  }
+  return text;
+}
+
+// The number of bytes `text` decodes to, from its length and padding
+// alone, so a caller can check it against a shape before allocating.
+std::size_t base64_bytes(const std::string& text) {
+  if (text.size() % 4 != 0) {
+    throw std::runtime_error("tensor f32: length is not a multiple of 4");
+  }
+  std::size_t pad = 0;
+  while (pad < 2 && pad < text.size() &&
+         text[text.size() - 1 - pad] == '=') {
+    ++pad;
+  }
+  return text.size() / 4 * 3 - pad;
+}
+
+// The 24 bits of the base64 group at p, whose first `chars` characters
+// carry data (the rest are padding and read as zero bits).
+std::uint32_t base64_group(const char* p, int chars = 4) {
+  std::uint32_t group = 0;
+  for (int k = 0; k < 4; ++k) {
+    std::uint32_t v = 0;
+    if (k < chars) {
+      v = kBase64Values[static_cast<unsigned char>(p[k])];
+      if (v == kNotBase64) {
+        throw std::runtime_error(
+            "tensor f32: character outside the base64 alphabet");
+      }
+    }
+    group = group << 6 | v;
+  }
+  return group;
+}
+
+float float_from_bytes(std::uint32_t b0, std::uint32_t b1, std::uint32_t b2,
+                       std::uint32_t b3) {
+  return std::bit_cast<float>(b0 | b1 << 8 | b2 << 16 | b3 << 24);
+}
+
+// Decodes `text`, which base64_bytes() sized to out.size() * 4 bytes,
+// straight into `out`: the inverse of encode_f32. Only canonical base64
+// is accepted: every character before the padding base64_bytes()
+// counted is in the alphabet, and the bits under the padding are zero.
+void decode_f32(const std::string& text, std::span<float> out) {
+  const char* p = text.data();
+  std::size_t i = 0;
+  for (; i + 3 <= out.size(); i += 3, p += 16) {
+    const std::uint32_t g0 = base64_group(p);
+    const std::uint32_t g1 = base64_group(p + 4);
+    const std::uint32_t g2 = base64_group(p + 8);
+    const std::uint32_t g3 = base64_group(p + 12);
+    out[i] = float_from_bytes(g0 >> 16, g0 >> 8 & 0xff, g0 & 0xff, g1 >> 16);
+    out[i + 1] =
+        float_from_bytes(g1 >> 8 & 0xff, g1 & 0xff, g2 >> 16, g2 >> 8 & 0xff);
+    out[i + 2] = float_from_bytes(g2 & 0xff, g3 >> 16, g3 >> 8 & 0xff,
+                                  g3 & 0xff);
+  }
+  const std::size_t left = out.size() - i;
+  if (left == 0) return;
+  const std::uint32_t g0 = base64_group(p);
+  if (left == 1) {  // "xxxx" "xx=="
+    const std::uint32_t g1 = base64_group(p + 4, 2);
+    if ((g1 & 0xffff) != 0) {
+      throw std::runtime_error("tensor f32: non-canonical padding");
+    }
+    out[i] = float_from_bytes(g0 >> 16, g0 >> 8 & 0xff, g0 & 0xff, g1 >> 16);
+    return;
+  }
+  // "xxxx" "xxxx" "xxx="
+  const std::uint32_t g1 = base64_group(p + 4);
+  const std::uint32_t g2 = base64_group(p + 8, 3);
+  if ((g2 & 0xff) != 0) {
+    throw std::runtime_error("tensor f32: non-canonical padding");
+  }
+  out[i] = float_from_bytes(g0 >> 16, g0 >> 8 & 0xff, g0 & 0xff, g1 >> 16);
+  out[i + 1] =
+      float_from_bytes(g1 >> 8 & 0xff, g1 & 0xff, g2 >> 16, g2 >> 8 & 0xff);
+}
+
+// A tensor dimension: a non-negative integer, exact in a double.
+std::size_t tensor_dimension(const Json& json, const char* name) {
+  const double v = json.at(name).as_number();
+  if (!(v >= 0.0 && v <= 9007199254740992.0 && v == std::floor(v))) {
+    throw std::runtime_error(std::string("tensor ") + name +
+                             " must be a non-negative integer");
+  }
+  return static_cast<std::size_t>(v);
+}
+
 }  // namespace
 
 int format_version() { return kFormatVersion; }
@@ -36,23 +189,49 @@ std::uint64_t u64_from_json(const Json& json) {
       std::strtoull(json.as_string().c_str(), nullptr, 16));
 }
 
-Json tensor_to_json(const nn::Tensor& t) {
+Json tensor_to_json(std::size_t rows, std::size_t cols,
+                    std::span<const float> values) {
   Json json = Json::object();
-  json.set("rows", Json(t.rows()));
-  json.set("cols", Json(t.cols()));
-  json.set("data", Json::from_floats(t.data()));
+  json.set("rows", Json(rows));
+  json.set("cols", Json(cols));
+  json.set("f32", Json(encode_f32(values)));
   return json;
 }
 
+Json tensor_to_json(const nn::Tensor& t) {
+  return tensor_to_json(t.rows(), t.cols(), t.data());
+}
+
+// Every check runs before the tensor is allocated, so a hostile shape
+// cannot ask for more memory than its payload's length implies.
 nn::Tensor tensor_from_json(const Json& json) {
-  const auto rows = static_cast<std::size_t>(json.at("rows").as_number());
-  const auto cols = static_cast<std::size_t>(json.at("cols").as_number());
+  const std::size_t rows = tensor_dimension(json, "rows");
+  const std::size_t cols = tensor_dimension(json, "cols");
+  if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+    throw std::runtime_error("tensor shape overflows");
+  }
+  const std::size_t count = rows * cols;
+  const bool packed = json.contains("f32");
+  if (packed == json.contains("data")) {
+    throw std::runtime_error("tensor needs exactly one of 'f32' and 'data'");
+  }
+  if (packed) {
+    const std::string& text = json.at("f32").as_string();
+    const std::size_t bytes = base64_bytes(text);
+    if (bytes % 4 != 0 || bytes / 4 != count) {
+      throw std::runtime_error("tensor f32 does not match its shape");
+    }
+    nn::Tensor t(rows, cols);
+    decode_f32(text, t.data());
+    return t;
+  }
+  // The legacy form: one JSON number per float, null for a non-finite.
   const std::vector<Json>& data = json.at("data").as_array();
-  if (data.size() != rows * cols) {
+  if (data.size() != count) {
     throw std::runtime_error("tensor data does not match its shape");
   }
   nn::Tensor t(rows, cols);
-  for (std::size_t i = 0; i < data.size(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     t[i] = static_cast<float>(data[i].number_or_nan());
   }
   return t;
@@ -234,11 +413,9 @@ Json predictor_to_json(const predictors::MlpPredictor& predictor) {
   json.set("trained", Json(state.trained));
   Json tensors = Json::array();
   for (std::size_t i = 0; i < state.tensors.size(); ++i) {
-    Json tensor = Json::object();
-    tensor.set("rows", Json(state.shapes[i].first));
-    tensor.set("cols", Json(state.shapes[i].second));
-    tensor.set("data", Json::from_floats(state.tensors[i]));
-    tensors.push_back(std::move(tensor));
+    tensors.push_back(tensor_to_json(state.shapes[i].first,
+                                     state.shapes[i].second,
+                                     state.tensors[i]));
   }
   json.set("tensors", std::move(tensors));
   return json;
@@ -255,10 +432,9 @@ predictors::MlpPredictor predictor_from_json(const Json& json) {
   state.target_std = json.at("target_std").as_number();
   state.trained = json.at("trained").as_bool();
   for (const Json& tensor : json.at("tensors").as_array()) {
-    state.shapes.emplace_back(
-        static_cast<std::size_t>(tensor.at("rows").as_number()),
-        static_cast<std::size_t>(tensor.at("cols").as_number()));
-    state.tensors.push_back(tensor.at("data").to_floats());
+    const nn::Tensor t = tensor_from_json(tensor);
+    state.shapes.emplace_back(t.rows(), t.cols());
+    state.tensors.emplace_back(t.data().begin(), t.data().end());
   }
   return predictors::MlpPredictor::from_state(state);
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,10 @@ namespace lightnas::io {
 /// Low-level JSON building blocks shared by every artifact format in
 /// this library (search checkpoints here, campaign checkpoints in
 /// src/campaign). Stable conversion invariants: u64 round-trips as hex
-/// (a double cannot hold it exactly), tensors as shape + flat float
-/// array, RNG state word-exact.
+/// (a double cannot hold it exactly), RNG state word-exact, and a float
+/// tensor as {"rows","cols","f32"}: `f32` is the base64 of its IEEE-754
+/// binary32 values, little-endian, so every bit pattern (NaN payloads,
+/// -0, subnormals, +-inf) reloads exactly on any host.
 namespace detail {
 
 /// Throws std::runtime_error unless `json` carries the expected
@@ -29,7 +32,13 @@ int format_version();
 Json u64_to_json(std::uint64_t v);
 std::uint64_t u64_from_json(const Json& json);
 
+Json tensor_to_json(std::size_t rows, std::size_t cols,
+                    std::span<const float> values);
 Json tensor_to_json(const nn::Tensor& t);
+/// Reads the `f32` form or the legacy `data` array (one number per
+/// float, null read as NaN). Throws std::runtime_error, before
+/// allocating, unless the shape is two non-negative integers whose
+/// product matches exactly one payload.
 nn::Tensor tensor_from_json(const Json& json);
 Json tensor_list_to_json(const std::vector<nn::Tensor>& tensors);
 std::vector<nn::Tensor> tensor_list_from_json(const Json& json);

@@ -11,6 +11,7 @@
 #include "core/lightnas.hpp"
 #include "hw/cost_model.hpp"
 #include "io/serialize.hpp"
+#include "legacy_tensors.hpp"
 #include "nn/ops.hpp"
 #include "nn/parallel.hpp"
 #include "util/pareto.hpp"
@@ -266,6 +267,33 @@ TEST_F(CampaignTest, CheckpointJsonRoundTripPreservesState) {
               saved->jobs[j].tolerance_streak);
     EXPECT_EQ(back.jobs[j].trace.size(), saved->jobs[j].trace.size());
   }
+}
+
+// A campaign checkpoint written before tensors were packed into `f32`
+// (one JSON number per float) loads to the same state as the new file.
+TEST_F(CampaignTest, LegacyCheckpointLoadsToSameState) {
+  std::optional<CampaignCheckpoint> saved;
+  CampaignHooks hooks;
+  hooks.on_checkpoint = [&](const CampaignCheckpoint& ck) { saved = ck; };
+  hooks.should_stop = [](std::size_t done) { return done >= 5; };
+  (void)make_orchestrator(tiny_config()).run(hooks);
+  ASSERT_TRUE(saved.has_value());
+
+  const io::Json json = campaign_checkpoint_to_json(*saved);
+  const std::string text = json.dump();
+  const std::string legacy = io::with_legacy_tensors(json).dump();
+  ASSERT_EQ(legacy.find("\"f32\""), std::string::npos);
+  ASSERT_NE(legacy.find("\"data\""), std::string::npos);
+  // The f32 form pins every float's bits, so equal files mean equal
+  // state.
+  EXPECT_EQ(campaign_checkpoint_to_json(
+                campaign_checkpoint_from_json(io::Json::parse(legacy)))
+                .dump(),
+            text);
+  EXPECT_EQ(campaign_checkpoint_to_json(
+                campaign_checkpoint_from_json(io::Json::parse(text)))
+                .dump(),
+            text);
 }
 
 TEST_F(CampaignTest, ResumeRejectsMismatchedFingerprint) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -13,6 +15,7 @@
 
 #include "io/json.hpp"
 #include "io/serialize.hpp"
+#include "legacy_tensors.hpp"
 
 namespace lightnas::io {
 namespace {
@@ -37,6 +40,26 @@ TEST(Json, StringEscapes) {
 TEST(Json, UnicodeEscapeDecodesToUtf8) {
   EXPECT_EQ(Json::parse(R"("A")").as_string(), "A");
   EXPECT_EQ(Json::parse(R"("é")").as_string(), "\xc3\xa9");
+}
+
+// A \u escape is exactly four hex digits. std::stoul used to read the
+// sign or space of "\u-001" and "\u 12a" and throw std::invalid_argument
+// on "\uzzzz".
+TEST(Json, UnicodeEscapeNeedsFourHexDigits) {
+  EXPECT_EQ(Json::parse(R"("\u00e9\u00C9")").as_string(), "\xc3\xa9\xc3\x89");
+  for (const char* text : {R"("\uzzzz")", R"("\u-001")", R"("\u 12a")",
+                           R"("\u+7ff")", R"("\u12")", R"("\u12)"}) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad \\u escape"),
+                std::string::npos)
+          << text << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << text << " threw an untyped " << e.what();
+    }
+  }
 }
 
 TEST(Json, ArraysAndObjects) {
@@ -64,15 +87,43 @@ TEST(Json, DumpParseRoundTrip) {
   EXPECT_DOUBLE_EQ(restored.at("nested").at("x").as_number(), 7.0);
 }
 
-TEST(Json, FloatVectorRoundTripIsExact) {
-  // float32 -> double -> %.9g -> parse -> float32 must be lossless.
-  std::vector<float> values{1.0f, -0.333333343f, 3.14159274f, 1e-20f,
-                            123456.789f};
-  const Json j = Json::parse(Json::from_floats(values).dump());
-  const std::vector<float> restored = j.to_floats();
-  ASSERT_EQ(restored.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(restored[i], values[i]);
+// Every float bit pattern survives the f32 tensor codec, -0, NaN
+// payloads and signalling NaNs included. Each prefix of the values is
+// its own tensor, so all three base64 paddings and the empty tensor
+// round-trip too.
+TEST(Json, F32TensorRoundTripIsBitExact) {
+  const std::vector<std::uint32_t> patterns{
+      0x7fc00123u, 0xffc00001u, 0x7f800001u, 0x7fffffffu};
+  std::vector<float> values{1.0f,
+                            -0.333333343f,
+                            3.14159274f,
+                            1e-20f,
+                            123456.789f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -1e-40f,
+                            std::numeric_limits<float>::min(),
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (std::uint32_t bits : patterns) {
+    float v = 0.0f;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+  }
+  for (std::size_t n = 0; n <= values.size(); ++n) {
+    nn::Tensor t(1, n);
+    std::copy_n(values.begin(), n, t.data().begin());
+    const nn::Tensor back = detail::tensor_from_json(
+        Json::parse(detail::tensor_to_json(t).dump()));
+    ASSERT_EQ(back.rows(), 1u);
+    ASSERT_EQ(back.cols(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(back[k]),
+                std::bit_cast<std::uint32_t>(values[k]))
+          << n << " values, index " << k;
+    }
   }
 }
 
@@ -175,7 +226,7 @@ TEST(Json, AccessorsThrowOnWrongType) {
     }
   }
   EXPECT_THROW((void)Json("s").number_or_nan(), std::runtime_error);
-  EXPECT_THROW((void)Json(1).to_floats(), std::runtime_error);
+  EXPECT_THROW((void)Json(1).to_doubles(), std::runtime_error);
 }
 
 TEST(Json, CopyIsDeepAndMoveLeavesNull) {
@@ -370,8 +421,10 @@ TEST_F(SerializeTest, SearchResultRoundTrip) {
 //
 // The serialized form is a compatibility contract: checkpoints written by
 // one build must resume under the next. These fixtures pin the exact
-// bytes the writer emits for every number form (integer, fraction,
-// -0, non-finite -> null, extremes), string escapes, u64 hex and nesting.
+// bytes the writer emits for every double form (integer, fraction, -0,
+// non-finite -> null, extremes), f32 tensors, string escapes, u64 hex
+// and nesting. The legacy fixtures pin files written before tensors
+// were packed into `f32`, which must still load exactly.
 
 core::SearchCheckpoint golden_checkpoint() {
   core::SearchCheckpoint ck;
@@ -422,6 +475,35 @@ core::SearchCheckpoint golden_checkpoint() {
 }
 
 constexpr const char* kGoldenCheckpoint =
+    R"({"adam_m":[{"cols":1,"f32":"AAAAgA==","rows":1}],"adam_t":7,"adam_v")"
+    R"(:[{"cols":1,"f32":"ZSDxRw==","rows":1}],"alpha":{"cols":3,"f32":"zcz)"
+    R"(MPQAAgL4I5Twe2w9JQAAAAAAAAMC/","rows":2},"alpha_updates":100,"cooldo)"
+    R"(wn_scale":0.5,"data_rng":{"cached_normal":0,"have_cached_normal":fal)"
+    R"(se,"s":["0000000000000005","0000000000000006","0000000000000007","00)"
+    R"(00000000000008"]},"health":{"aborted_early":false,"completed_epochs")"
+    R"(:5,"events":[{"epoch":3,"reason":"loss \"nan\"\n\tat\u0001 epoch\\3")"
+    R"(,"rolled_back":true}],"interrupted":false,"measurement_retries":0,"m)"
+    R"(easurements_rejected":0,"pool_buffer_hits":0,"pool_buffer_misses":0,)"
+    R"("pool_bytes_recycled":999999999999999,"resumed":false,"resumed_from_)"
+    R"(epoch":0,"rollbacks":1},"kind":"lightnas.checkpoint","lambdas":[0.12)"
+    R"(345678901234568,-0],"next_epoch":5,"rng":{"cached_normal":-1.2345678)"
+    R"(901234567,"have_cached_normal":true,"s":["0000000000000001","0000000)"
+    R"(000000002","ffffffffffffffff","8000000000000000"]},"seed":"012345678)"
+    R"(9abcdef","supernet_weights":[{"cols":2,"f32":"q6qqPgAA4MA=","rows":1)"
+    R"(},{"cols":1,"f32":"AAAAPwAAAD8=","rows":2}],"targets":[24,3.5],"tau_)"
+    R"(floor":null,"total_epochs":12,"trace":[{"derived":"0,2,1","epoch":4,)"
+    R"("lambda":-1e-300,"lambdas":[-1e-300],"predicted_cost":1.797693134862)"
+    R"(3157e+308,"predicted_costs":[null],"sampled_cost_mean":23.25,"tau":2)"
+    R"(.5,"valid_accuracy":0.875,"valid_loss":0.66666666666666663}],"train_)"
+    R"(batcher":{"cursor":2,"order":[3,1,2,0]},"valid_batcher":{"cursor":0,)"
+    R"("order":[]},"valid_rng":{"cached_normal":0,"have_cached_normal":fals)"
+    R"(e,"s":["0000000000000000","0000000000000000","0000000000000000","000)"
+    R"(0000000000000"]},"version":1,"w_step_counter":240,"w_velocity":[{"co)"
+    R"(ls":2,"f32":"d8wrMnfMKzI=","rows":1}],"weight_updates":240})";
+
+// The same checkpoint from the writer that stored one JSON number per
+// float.
+constexpr const char* kLegacyGoldenCheckpoint =
     R"({"adam_m":[{"cols":1,"data":[-0],"rows":1}],"adam_t":7,"adam_v":[{)"
     R"("cols":1,"data":[123456.7890625],"rows":1}],"alpha":{"cols":3,"dat)"
     R"(a":[0.10000000149011612,-0.25,9.9999996826552254e-21,3.14159274101)"
@@ -451,11 +533,19 @@ constexpr const char* kGoldenCheckpoint =
     R"(9392252903e-09,9.9999999392252903e-09],"rows":1}],"weight_updates")"
     R"(:240})";
 
-// The predictor file is ~8.6k floats (~190 KB of text), so it is pinned
-// by length, FNV-1a hash and its leading bytes instead of verbatim.
-constexpr std::size_t kGoldenPredictorBytes = 189992;
-constexpr std::uint64_t kGoldenPredictorFnv = 0xa3b279aee0fd6dd0ULL;
+// The predictor file is ~8.6k floats, so it is pinned by length, FNV-1a
+// hash and its leading bytes instead of verbatim.
+constexpr std::size_t kGoldenPredictorBytes = 49494;
+constexpr std::uint64_t kGoldenPredictorFnv = 0x023caa04c763b23dULL;
 constexpr const char* kGoldenPredictorHead =
+    R"({"kind":"lightnas.predictor.mlp","num_layers":2,"num_ops":3,)"
+    R"("target_mean":0,"target_std":1,"tensors":[{"cols":128,"f32":")";
+
+// The same predictor from the writer that stored one JSON number per
+// float (~190 KB of text).
+constexpr std::size_t kLegacyPredictorBytes = 189992;
+constexpr std::uint64_t kLegacyPredictorFnv = 0xa3b279aee0fd6dd0ULL;
+constexpr const char* kLegacyPredictorHead =
     R"({"kind":"lightnas.predictor.mlp","num_layers":2,"num_ops":3,)"
     R"("target_mean":0,"target_std":1,"tensors":[{"cols":128,"data":[)";
 
@@ -479,6 +569,18 @@ TEST_F(SerializeTest, CheckpointBytesMatchGolden) {
   const std::string bytes = read_bytes(path("golden.json"));
   EXPECT_EQ(bytes, kGoldenCheckpoint);
   EXPECT_EQ(checkpoint_to_json(ck).dump(), bytes);
+}
+
+TEST_F(SerializeTest, LegacyCheckpointLoadsExactly) {
+  const Json current = checkpoint_to_json(golden_checkpoint());
+  // The legacy fixture is what the old writer made of the same state.
+  EXPECT_EQ(with_legacy_tensors(current).dump(), kLegacyGoldenCheckpoint);
+  // Loaded, it writes the current golden back. The f32 form pins every
+  // float's bits and the 17-digit form every finite double's, so this
+  // compares every field (non-finite doubles were null in both forms).
+  const core::SearchCheckpoint loaded =
+      checkpoint_from_json(Json::parse(kLegacyGoldenCheckpoint));
+  EXPECT_EQ(checkpoint_to_json(loaded).dump(), kGoldenCheckpoint);
 }
 
 // A run-health record as this build writes it: pool telemetry without
@@ -565,6 +667,122 @@ TEST_F(SerializeTest, PredictorBytesMatchGolden) {
   EXPECT_EQ(bytes.substr(0, std::string(kGoldenPredictorHead).size()),
             kGoldenPredictorHead);
   EXPECT_EQ(predictor_to_json(predictor).dump(), bytes);
+}
+
+void expect_same_state(const predictors::MlpPredictor::State& got,
+                       const predictors::MlpPredictor::State& want) {
+  EXPECT_EQ(got.num_layers, want.num_layers);
+  EXPECT_EQ(got.num_ops, want.num_ops);
+  EXPECT_EQ(got.unit, want.unit);
+  EXPECT_EQ(std::memcmp(&got.target_mean, &want.target_mean,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&got.target_std, &want.target_std, sizeof(double)),
+            0);
+  EXPECT_EQ(got.trained, want.trained);
+  EXPECT_EQ(got.shapes, want.shapes);
+  ASSERT_EQ(got.tensors.size(), want.tensors.size());
+  for (std::size_t i = 0; i < got.tensors.size(); ++i) {
+    ASSERT_EQ(got.tensors[i].size(), want.tensors[i].size());
+    EXPECT_EQ(std::memcmp(got.tensors[i].data(), want.tensors[i].data(),
+                          got.tensors[i].size() * sizeof(float)),
+              0)
+        << "tensor " << i;
+  }
+}
+
+TEST_F(SerializeTest, LegacyPredictorLoadsExactly) {
+  const predictors::MlpPredictor predictor(2, 3, /*seed=*/11, "mJ");
+  // The old writer's bytes, rebuilt from the current file.
+  const std::string legacy =
+      with_legacy_tensors(predictor_to_json(predictor)).dump();
+  EXPECT_EQ(legacy.size(), kLegacyPredictorBytes);
+  EXPECT_EQ(fnv1a(legacy), kLegacyPredictorFnv);
+  EXPECT_EQ(legacy.substr(0, std::string(kLegacyPredictorHead).size()),
+            kLegacyPredictorHead);
+  expect_same_state(predictor_from_json(Json::parse(legacy)).export_state(),
+                    predictor.export_state());
+}
+
+// Regression: a non-finite tensor value was written as null and every
+// one of them reloaded as the NaN 0x7fc00000.
+TEST_F(SerializeTest, TensorNonFiniteValuesReloadBitExact) {
+  const std::uint32_t bits[] = {0x7f800000u, 0xff800000u, 0x7fc00123u};
+  nn::Tensor t(1, 3);
+  std::memcpy(t.data().data(), bits, sizeof bits);
+  Json json = Json::object();
+  json.set("t", detail::tensor_to_json(t));
+  write_json_file(path("nonfinite.json"), json);
+  const nn::Tensor back =
+      detail::tensor_from_json(read_json_file(path("nonfinite.json")).at("t"));
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(std::memcmp(back.data().data(), bits, sizeof bits), 0);
+}
+
+std::string tensor_error(const std::string& text) {
+  try {
+    (void)detail::tensor_from_json(Json::parse(text));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    return std::string("untyped: ") + e.what();
+  }
+  return "";
+}
+
+// Regression: rows and cols were cast from any double, so 2^32 x 2^32
+// wrapped to a tensor with no storage, -1 to 2^64 - 1 and 1.5 to 1.
+TEST_F(SerializeTest, TensorShapesAreValidated) {
+  EXPECT_EQ(tensor_error(R"({"rows":2,"cols":1,"data":[1,null]})"), "");
+  EXPECT_EQ(tensor_error(R"({"rows":4294967296,"cols":4294967296,)"
+                         R"("data":[]})"),
+            "tensor shape overflows");
+  EXPECT_EQ(tensor_error(R"({"rows":4294967296,"cols":4294967296,)"
+                         R"("f32":""})"),
+            "tensor shape overflows");
+  for (const char* rows : {"-1", "1.5", "1e300", "\"1\"", "null"}) {
+    const std::string error = tensor_error(
+        std::string(R"({"cols":1,"data":[1],"rows":)") + rows + "}");
+    EXPECT_NE(error, "") << rows;
+    EXPECT_EQ(error.find("untyped"), std::string::npos) << error;
+  }
+  EXPECT_EQ(tensor_error(R"({"rows":2,"cols":2,"data":[1,2,3]})"),
+            "tensor data does not match its shape");
+
+  const predictors::MlpPredictor predictor(2, 3, /*seed=*/11, "mJ");
+  const std::string text = predictor_to_json(predictor).dump();
+  for (const char* shape : {R"("cols":-1)", R"("cols":1.5)"}) {
+    std::string bad = text;
+    bad.replace(bad.find(R"("cols":128)"), 10, shape);
+    EXPECT_THROW(predictor_from_json(Json::parse(bad)), std::runtime_error)
+        << shape;
+  }
+}
+
+// One float, 1.0f: bytes 00 00 80 3f, base64 "AACAPw==".
+TEST_F(SerializeTest, MalformedF32TensorsAreTypedErrors) {
+  const auto tensor = [](const std::string& fields) {
+    return tensor_error(R"({"rows":1,"cols":1,)" + fields + "}");
+  };
+  EXPECT_EQ(tensor(R"("f32":"AACAPw==")"), "");
+  for (const char* fields : {
+           R"("f32":"")",                  // wrong length: no floats
+           R"("f32":"AACAPwAAgD8=")",      // wrong length: two floats
+           R"("f32":"AACAPw=")",           // not a multiple of 4
+           R"("f32":"AACA-w==")",          // outside the alphabet
+           R"("f32":"AAC
+Pw==")",         // whitespace
+           R"("f32":"AACAP===")",          // padding too long
+           R"("f32":"AACA=w==")",          // padding inside the data
+           R"("f32":"AACAPx==")",          // non-zero bits under padding
+           R"("f32":[0,0,128,63])",        // not a string
+           R"("f32":"AACAPw==","data":[1])",  // both fields
+           R"("values":[1])",              // neither field
+       }) {
+    const std::string error = tensor(fields);
+    EXPECT_NE(error, "") << fields;
+    EXPECT_EQ(error.find("untyped"), std::string::npos) << error;
+  }
 }
 
 TEST_F(SerializeTest, MissingFileThrows) {
