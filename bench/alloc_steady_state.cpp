@@ -319,6 +319,7 @@ int main(int argc, char** argv) {
   // it must not miss at all.
   std::vector<std::uint64_t> misses_by_epoch;
   nn::PoolStats search_steady;
+  std::size_t search_pool_free_bytes = 0;
   {
     nn::PooledScope scope(nn::PoolMode::kFresh);
     core::LightNas engine(space, predictor, task, core::SupernetConfig{},
@@ -336,6 +337,7 @@ int main(int argc, char** argv) {
                           search_config(smoke));
     repeat.search();
     search_steady = scope.pool().stats() - warm;
+    search_pool_free_bytes = scope.pool().free_bytes();
   }
   std::printf("\nsearch buffer misses by epoch, first run (cumulative):");
   for (const std::uint64_t m : misses_by_epoch) {
@@ -346,6 +348,8 @@ int main(int argc, char** argv) {
   std::printf("repeat search under warmed pool: %llu buffer misses "
               "(required 0)\n",
               static_cast<unsigned long long>(search_steady.buffer_misses));
+  std::printf("pool retention after the repeat search: %.2f MB\n",
+              static_cast<double>(search_pool_free_bytes) / 1e6);
   if (!search_zero_miss) {
     std::printf("FAIL: warmed pool still misses during search\n");
     all_pass = false;
@@ -400,6 +404,7 @@ int main(int argc, char** argv) {
           io::Json(static_cast<std::size_t>(train_steady.buffer_misses)));
   out.set("train_zero_miss", io::Json(train_zero_miss));
   out.set("search_zero_miss", io::Json(search_zero_miss));
+  out.set("search_pool_free_bytes", io::Json(search_pool_free_bytes));
   out.set("bit_identical", io::Json(identity_pass));
   out.set("peak_rss_bytes", io::Json(peak_rss_bytes()));
   bench::update_bench_json("BENCH_alloc.json", "steady_state", out);

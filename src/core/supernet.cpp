@@ -1,5 +1,6 @@
 #include "core/supernet.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -80,13 +81,26 @@ nn::VarPtr SurrogateSupernet::forward_single_path(
 EvalResult SurrogateSupernet::evaluate(
     const nn::Dataset& data, const std::vector<std::size_t>& op_choice) const {
   assert(op_choice.size() == space_->num_layers());
-  nn::Tensor x = stem_->forward_inference(data.features, /*fuse_relu=*/true);
-  for (std::size_t l = 0; l < op_choice.size(); ++l) {
-    assert(op_choice[l] < space_->num_ops());
-    const nn::ResidualBlock* block = blocks_[l][op_choice[l]].get();
-    if (block != nullptr) x = block->forward_inference(x);
+  const std::size_t n = data.features.rows();
+  const std::size_t dim = data.features.cols();
+  const std::size_t classes = num_classes();
+  nn::Tensor logits = nn::Tensor::uninitialized(n, classes);
+  nn::Tensor tile;
+  for (std::size_t r0 = 0; r0 < n; r0 += kEvalTileRows) {
+    const std::size_t rows = std::min(kEvalTileRows, n - r0);
+    if (tile.rows() != rows) tile = nn::Tensor::uninitialized(rows, dim);
+    const float* src = data.features.data().data() + r0 * dim;
+    std::copy(src, src + rows * dim, tile.data().data());
+    nn::Tensor x = stem_->forward_inference(tile, /*fuse_relu=*/true);
+    for (std::size_t l = 0; l < op_choice.size(); ++l) {
+      assert(op_choice[l] < space_->num_ops());
+      const nn::ResidualBlock* block = blocks_[l][op_choice[l]].get();
+      if (block != nullptr) x = block->forward_inference(x);
+    }
+    const nn::Tensor tile_logits = classifier_->forward_inference(x);
+    std::copy(tile_logits.data().begin(), tile_logits.data().end(),
+              logits.data().data() + r0 * classes);
   }
-  const nn::Tensor logits = classifier_->forward_inference(x);
   nn::Tensor probs;
   EvalResult result;
   result.loss = static_cast<double>(

@@ -75,13 +75,21 @@ class SurrogateSupernet {
   /// Graph-free single-path evaluation of `op_choice` on `data`: the
   /// mean softmax cross-entropy and the accuracy. Bit-identical to
   /// forward_single_path + ops::softmax_cross_entropy + ops::accuracy
-  /// (same kernels in the same order), but it builds no autograd graph,
-  /// so only one layer's activations are alive at a time. It reads only
-  /// the weight values, so concurrent calls are safe. Every read-only
-  /// evaluation runs through here; forward_single_path is for steps
-  /// that call backward.
+  /// (same kernels in the same order), but it builds no autograd graph.
+  /// The rows run through the path kEvalTileRows at a time into one
+  /// n x classes logits tensor, which the loss and accuracy then read
+  /// whole: every kernel on the path computes a row from that row alone,
+  /// so the tile edge changes no bit, and only one tile's activations
+  /// for one layer are alive at a time. A pool therefore keeps
+  /// tile-sized activation buckets, whatever the validation set's size.
+  /// It reads only the weight values, so concurrent calls are safe.
+  /// Every read-only evaluation runs through here; forward_single_path
+  /// is for steps that call backward.
   EvalResult evaluate(const nn::Dataset& data,
                       const std::vector<std::size_t>& op_choice) const;
+
+  /// Rows per tile of evaluate.
+  static constexpr std::size_t kEvalTileRows = 64;
 
   /// Multi-path forward per Eq (1)/(8)-soft: `path_weights` is an L x K
   /// Var of per-layer op weights (rows of a softmax). Every candidate in

@@ -2,9 +2,9 @@
 
 #include <array>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -153,11 +153,12 @@ void decode_f32(const std::string& text, std::span<float> out) {
       float_from_bytes(g1 >> 8 & 0xff, g1 & 0xff, g2 >> 16, g2 >> 8 & 0xff);
 }
 
-// A tensor dimension: a non-negative integer, exact in a double.
-std::size_t tensor_dimension(const Json& json, const char* name) {
-  const double v = json.at(name).as_number();
+// A count or index: a non-negative integer, exact in a double. Checked
+// before the cast, which is undefined for a negative or huge double.
+std::size_t size_from_json(const Json& json, const char* what) {
+  const double v = json.as_number();
   if (!(v >= 0.0 && v <= 9007199254740992.0 && v == std::floor(v))) {
-    throw std::runtime_error(std::string("tensor ") + name +
+    throw std::runtime_error(std::string(what) +
                              " must be a non-negative integer");
   }
   return static_cast<std::size_t>(v);
@@ -185,8 +186,16 @@ Json u64_to_json(std::uint64_t v) {
 }
 
 std::uint64_t u64_from_json(const Json& json) {
-  return static_cast<std::uint64_t>(
-      std::strtoull(json.as_string().c_str(), nullptr, 16));
+  const std::string& text = json.as_string();
+  const char* end = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [stop, error] = std::from_chars(text.data(), end, v, 16);
+  if (text.size() != 16 || error != std::errc() || stop != end) {
+    const std::string shown =
+        text.size() > 24 ? text.substr(0, 24) + "..." : text;
+    throw std::runtime_error("u64 \"" + shown + "\" is not 16 hex digits");
+  }
+  return v;
 }
 
 Json tensor_to_json(std::size_t rows, std::size_t cols,
@@ -205,8 +214,8 @@ Json tensor_to_json(const nn::Tensor& t) {
 // Every check runs before the tensor is allocated, so a hostile shape
 // cannot ask for more memory than its payload's length implies.
 nn::Tensor tensor_from_json(const Json& json) {
-  const std::size_t rows = tensor_dimension(json, "rows");
-  const std::size_t cols = tensor_dimension(json, "cols");
+  const std::size_t rows = size_from_json(json.at("rows"), "tensor rows");
+  const std::size_t cols = size_from_json(json.at("cols"), "tensor cols");
   if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
     throw std::runtime_error("tensor shape overflows");
   }
@@ -285,11 +294,12 @@ Json batcher_state_to_json(const nn::Batcher::State& state) {
 
 nn::Batcher::State batcher_state_from_json(const Json& json) {
   nn::Batcher::State state;
-  state.order.reserve(json.at("order").size());
-  for (const Json& i : json.at("order").as_array()) {
-    state.order.push_back(static_cast<std::size_t>(i.as_number()));
+  const std::vector<Json>& order = json.at("order").as_array();
+  state.order.reserve(order.size());
+  for (const Json& i : order) {
+    state.order.push_back(size_from_json(i, "batcher order entry"));
   }
-  state.cursor = static_cast<std::size_t>(json.at("cursor").as_number());
+  state.cursor = size_from_json(json.at("cursor"), "batcher cursor");
   return state;
 }
 

@@ -29,6 +29,8 @@ namespace detail {
 void check_header(const Json& json, const std::string& kind);
 int format_version();
 
+/// A u64 as the 16 hex digits u64_to_json writes; anything else throws
+/// std::runtime_error naming the value.
 Json u64_to_json(std::uint64_t v);
 std::uint64_t u64_from_json(const Json& json);
 
@@ -46,6 +48,8 @@ std::vector<nn::Tensor> tensor_list_from_json(const Json& json);
 Json rng_state_to_json(const util::RngState& state);
 util::RngState rng_state_from_json(const Json& json);
 Json batcher_state_to_json(const nn::Batcher::State& state);
+/// Throws std::runtime_error unless every order entry and the cursor is
+/// a non-negative integer; Batcher::restore_state checks the rest.
 nn::Batcher::State batcher_state_from_json(const Json& json);
 
 Json health_to_json(const core::RunHealth& health);

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace lightnas::nn {
@@ -64,6 +65,17 @@ void Batcher::restore_state(State state) {
       state.cursor > state.order.size()) {
     throw std::invalid_argument(
         "Batcher::restore_state: snapshot does not match dataset");
+  }
+  // next() gathers the rows the order names, so it must name each row
+  // of the dataset exactly once.
+  std::vector<bool> seen(state.order.size(), false);
+  for (const std::size_t row : state.order) {
+    if (row >= seen.size() || seen[row]) {
+      throw std::invalid_argument(
+          "Batcher::restore_state: order is not a permutation of the "
+          "dataset's rows (row " + std::to_string(row) + ")");
+    }
+    seen[row] = true;
   }
   order_ = std::move(state.order);
   cursor_ = state.cursor;

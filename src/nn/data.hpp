@@ -46,6 +46,8 @@ class Batcher {
 
   State export_state() const { return {order_, cursor_}; }
   /// Restore a snapshot taken on a batcher over the same dataset.
+  /// Throws std::invalid_argument unless the order is a permutation of
+  /// the dataset's rows and the cursor is at most its length.
   void restore_state(State state);
 
  private:

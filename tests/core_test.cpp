@@ -488,7 +488,13 @@ class SupernetEvaluateTest : public ::testing::Test {
 
 TEST_F(SupernetEvaluateTest, MatchesGraphPathBitForBit) {
   const std::vector<std::vector<std::size_t>> all_paths = paths();
-  for (const std::size_t rows : {1, 7, 48, 2048}) {
+  // Row counts on both sides of evaluate's row-tile edges, a single
+  // row and the whole validation set.
+  constexpr std::size_t kTile = SurrogateSupernet::kEvalTileRows;
+  const std::size_t row_counts[] = {
+      1, 7, 48, kTile - 1, kTile, kTile + 1, 2 * kTile - 1, 2 * kTile + 1,
+      2047, 2048};
+  for (const std::size_t rows : row_counts) {
     const nn::Dataset data = first_rows(rows);
     for (const nn::PoolMode mode :
          {nn::PoolMode::kFresh, nn::PoolMode::kDisabled}) {
@@ -508,6 +514,29 @@ TEST_F(SupernetEvaluateTest, MatchesGraphPathBitForBit) {
       }
     }
   }
+}
+
+TEST_F(SupernetEvaluateTest, PoolRetentionIndependentOfRows) {
+  const std::vector<std::vector<std::size_t>> all_paths = paths();
+  // What a fresh pool keeps after every path ran on `rows` rows. The
+  // data is built outside the scope, so only evaluate's buffers count.
+  const auto retained_bytes = [&](std::size_t rows) {
+    const nn::Dataset data = first_rows(rows);
+    nn::PooledScope pool(nn::PoolMode::kFresh);
+    for (const std::vector<std::size_t>& path : all_paths) {
+      net_.evaluate(data, path);
+    }
+    return pool.pool().free_bytes();
+  };
+  const std::size_t tile = retained_bytes(SurrogateSupernet::kEvalTileRows);
+  const std::size_t full = retained_bytes(2048);
+  // The whole set adds only its n x classes logits and probabilities;
+  // every activation buffer stays tile-sized.
+  const std::size_t whole_set_outputs =
+      2 * 2048 * net_.num_classes() * sizeof(float);
+  EXPECT_LE(full, tile + whole_set_outputs)
+      << "one tile leaves " << tile << " B, 2048 rows leave " << full
+      << " B";
 }
 
 TEST_F(SupernetEvaluateTest, NanBlockWeightGivesNanLossOnBothPaths) {

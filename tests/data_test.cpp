@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "nn/data.hpp"
 
@@ -50,6 +51,22 @@ TEST(Batcher, CoversEpochAndReshuffles) {
   EXPECT_EQ(seen, (std::multiset<float>{0.f, 2.f, 4.f, 6.f}));
   // Next epoch keeps producing valid batches.
   EXPECT_EQ(batcher.next().size(), 2u);
+}
+
+// Regression: only the order's length was checked, so an entry >= n
+// reached Dataset::gather, which reads out of bounds in Release.
+TEST(Batcher, RestoreRejectsOrderThatIsNotAPermutation) {
+  const Dataset d = tiny_dataset();
+  util::Rng rng(7);
+  Batcher batcher(d, 2, rng);
+  EXPECT_NO_THROW(batcher.restore_state({{3, 1, 2, 0}, 2}));
+  EXPECT_THROW(batcher.restore_state({{0, 1, 2, 4}, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(batcher.restore_state({{0, 1, 1, 3}, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(batcher.restore_state({{0, 1, 2}, 0}), std::invalid_argument);
+  EXPECT_THROW(batcher.restore_state({{0, 1, 2, 3}, 5}),
+               std::invalid_argument);
 }
 
 TEST(SyntheticTask, ShapesMatchConfig) {

@@ -719,15 +719,19 @@ TEST_F(SerializeTest, TensorNonFiniteValuesReloadBitExact) {
   EXPECT_EQ(std::memcmp(back.data().data(), bits, sizeof bits), 0);
 }
 
-std::string tensor_error(const std::string& text) {
+std::string load_error(const std::function<void()>& load) {
   try {
-    (void)detail::tensor_from_json(Json::parse(text));
+    load();
   } catch (const std::runtime_error& e) {
     return e.what();
   } catch (const std::exception& e) {
     return std::string("untyped: ") + e.what();
   }
   return "";
+}
+
+std::string tensor_error(const std::string& text) {
+  return load_error([&] { (void)detail::tensor_from_json(Json::parse(text)); });
 }
 
 // Regression: rows and cols were cast from any double, so 2^32 x 2^32
@@ -781,6 +785,48 @@ Pw==")",         // whitespace
        }) {
     const std::string error = tensor(fields);
     EXPECT_NE(error, "") << fields;
+    EXPECT_EQ(error.find("untyped"), std::string::npos) << error;
+  }
+}
+
+// Regression: strtoull with no end check read "zz" as 0 and "1g" as 1.
+TEST_F(SerializeTest, U64NeedsSixteenHexDigits) {
+  EXPECT_EQ(detail::u64_from_json(Json("0000000000000000")), 0u);
+  EXPECT_EQ(detail::u64_from_json(Json("ffffffffffffffff")),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(detail::u64_from_json(detail::u64_to_json(0x0123456789abcdefULL)),
+            0x0123456789abcdefULL);
+  for (const char* text : {"zz", "1g", "", "00000000000000000",
+                           "000000000000000g", "-000000000000001",
+                           " 000000000000001"}) {
+    const std::string error =
+        load_error([&] { (void)detail::u64_from_json(Json(text)); });
+    EXPECT_NE(error, "") << '"' << text << '"';
+    EXPECT_NE(error.find(std::string("\"") + text + "\""), std::string::npos)
+        << error;
+  }
+}
+
+// Regression: order entries and the cursor were cast from any double,
+// so -1 loaded as 2^64 - 1 and 2.5 as 2.
+TEST_F(SerializeTest, BatcherStateNeedsNonNegativeIntegers) {
+  const nn::Batcher::State good = detail::batcher_state_from_json(
+      Json::parse(R"({"order":[3,1,2,0],"cursor":2})"));
+  EXPECT_EQ(good.order, (std::vector<std::size_t>{3, 1, 2, 0}));
+  EXPECT_EQ(good.cursor, 2u);
+  for (const char* text : {
+           R"({"order":[1,-1,2.5],"cursor":-1})",
+           R"({"order":[1,-1,2],"cursor":0})",
+           R"({"order":[1,2.5,2],"cursor":0})",
+           R"({"order":[1,1e300,2],"cursor":0})",
+           R"({"order":[1,9007199254740994,2],"cursor":0})",
+           R"({"order":[1,0,2],"cursor":-1})",
+           R"({"order":[1,0,2],"cursor":0.5})",
+       }) {
+    const std::string error = load_error([&] {
+      (void)detail::batcher_state_from_json(Json::parse(text));
+    });
+    EXPECT_NE(error, "") << text;
     EXPECT_EQ(error.find("untyped"), std::string::npos) << error;
   }
 }

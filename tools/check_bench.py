@@ -50,6 +50,7 @@ SCHEMAS = {
             "search_speedup": READING,
             "pool_hit_rate": READING,
             "steady_buffer_misses": NUM,
+            "search_pool_free_bytes": NUM,
             "peak_rss_bytes": NUM,
         },
         "gates": {
